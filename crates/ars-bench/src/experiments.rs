@@ -419,7 +419,11 @@ pub fn table1_f0(scale: ExperimentScale, seed: u64) -> ExperimentReport {
             ),
             Contender::robust(
                 "robust F0 (crypto PRF, Thm 10.1)",
-                Box::new(b.seed(seed + 4).crypto_f0()),
+                Box::new(
+                    b.seed(seed + 4)
+                        .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
+                        .f0(),
+                ),
             ),
         ];
         report.rows.extend(score_contenders(
@@ -1009,7 +1013,11 @@ pub fn crypto_f0_experiment(scale: ExperimentScale, seed: u64) -> ExperimentRepo
             "crypto robust F0 (ChaCha PRF)".to_string(),
             StreamSession::new(
                 ars_stream::StreamModel::InsertionOnly,
-                Box::new(b.seed(seed + 1).crypto_f0()),
+                Box::new(
+                    b.seed(seed + 1)
+                        .strategy(Strategy::Crypto(CryptoBackend::ChaChaPrf))
+                        .f0(),
+                ),
             ),
         ),
         (
@@ -1019,7 +1027,7 @@ pub fn crypto_f0_experiment(scale: ExperimentScale, seed: u64) -> ExperimentRepo
                 Box::new(
                     b.seed(seed + 2)
                         .strategy(Strategy::Crypto(CryptoBackend::RandomOracle))
-                        .crypto_f0(),
+                        .f0(),
                 ),
             ),
         ),

@@ -18,8 +18,9 @@
 //! * computation paths ([`crate::computation_paths::ComputationPaths`])
 //!   keeps a single tiny-δ copy and does nothing on publication — the
 //!   union bound over output sequences does the work;
-//! * the cryptographic route ([`crate::crypto_f0`]) masks items through a
-//!   PRF and publishes raw estimates ([`RoundingMode::Raw`]).
+//! * the cryptographic route ([`crate::strategy::CryptoMaskStrategy`])
+//!   masks items through a PRF and publishes raw estimates
+//!   ([`RoundingMode::Raw`]).
 //!
 //! New strategies implement [`StrategyCore`] +
 //! [`crate::strategy::RobustStrategy`] and inherit the whole engine,
@@ -233,8 +234,9 @@ impl RobustPlan {
 /// algorithm `A'`, factored out of every per-problem construction).
 ///
 /// `Robustify` is generic over the core so monomorphised hot paths are
-/// available (`Robustify<SketchSwitch<F>>`), while the problem shims use
-/// the type-erased [`DynRobust`] alias.
+/// available (`Robustify<SketchSwitch<F>>`), while every
+/// [`crate::builder::RobustBuilder`] constructor returns the type-erased
+/// [`DynRobust`].
 pub struct Robustify<C: StrategyCore = Box<dyn StrategyCore + Send>> {
     core: C,
     plan: RobustPlan,
@@ -242,7 +244,8 @@ pub struct Robustify<C: StrategyCore = Box<dyn StrategyCore + Send>> {
     mode: RoundingMode,
 }
 
-/// The type-erased engine the problem-specific shims wrap.
+/// The type-erased engine: the one estimator type every engine-backed
+/// problem constructor returns.
 pub type DynRobust = Robustify<Box<dyn StrategyCore + Send>>;
 
 impl<C: StrategyCore> Robustify<C> {
@@ -279,7 +282,7 @@ impl<C: StrategyCore> Robustify<C> {
         &self.plan
     }
 
-    /// Read access to the strategy core (used by tests and shims).
+    /// Read access to the strategy core (used by tests).
     #[must_use]
     pub fn core(&self) -> &C {
         &self.core
@@ -382,8 +385,7 @@ impl<C: StrategyCore> RobustEstimator for Robustify<C> {
 
     /// The one plan-aware implementation of the typed read surface: every
     /// strategy — switching pools, computation paths, the crypto route, DP
-    /// aggregation — inherits this through the engine, and the problem
-    /// shims forward to it.
+    /// aggregation — inherits this through the engine.
     ///
     /// Additive plans (entropy) track the *exponential* `2^H` through the
     /// multiplicative rounding machinery — the Section 7 reduction — so the

@@ -91,32 +91,36 @@
 //!
 //! # Paper map
 //!
-//! | Type | Paper result |
-//! |---|---|
-//! | [`robust_f0::RobustF0`] | Theorems 1.1 and 1.2 (distinct elements) |
-//! | [`robust_fp::RobustFp`] | Theorems 1.4 and 1.5 (`F_p`, `0 < p ≤ 2`) |
-//! | [`robust_fp::RobustFpLarge`] | Theorem 1.7 (`F_p`, `p > 2`) |
-//! | [`robust_turnstile::RobustTurnstileFp`] | Theorem 1.6 (λ-flip turnstile) |
-//! | [`robust_heavy_hitters::RobustL2HeavyHitters`] | Theorem 1.9 (`L₂` heavy hitters) |
-//! | [`robust_entropy::RobustEntropy`] | Theorem 1.10 (entropy) |
-//! | [`robust_bounded_deletion::RobustBoundedDeletionFp`] | Theorem 1.11 (bounded deletions) |
-//! | [`crypto_f0::CryptoRobustF0`] | Theorem 10.1 (crypto / random oracle) |
-//! | [`dp_aggregation::DpAggregation`] | Hassidim et al. 2020 (`O(√λ)` DP pool) |
-//! | [`difference_estimators::DifferenceEstimators`] | Attias et al. 2022 (`O(log λ)` chunk pool) |
+//! Every engine-backed problem is one [`builder::RobustBuilder`]
+//! constructor returning the one engine type, [`engine::DynRobust`]; the
+//! paper result it realises is picked by the constructor plus the
+//! [`builder::Strategy`].
 //!
-//! Each of those modules is now a thin shim over the engine (the pre-engine
-//! per-problem builders remain as compatibility wrappers). The supporting
-//! machinery — ε-rounding ([`rounding`]) and flip-number bounds
-//! ([`flip_number`]) — is public as well, so new robust estimators can be
-//! assembled from any static sketch implementing
-//! [`ars_sketch::EstimatorFactory`].
+//! | Constructor and strategy | Paper result |
+//! |---|---|
+//! | `f0()` with `Strategy::SketchSwitching` (default) | Theorem 1.1 (distinct elements) |
+//! | `f0()` with `Strategy::ComputationPaths` | Theorem 1.2 (fast distinct elements) |
+//! | `f0()` with `Strategy::Crypto(..)` ([`strategy::CryptoMaskStrategy`]) | Theorem 10.1 (crypto / random oracle) |
+//! | `fp(p)` with `Strategy::SketchSwitching` / `ComputationPaths` | Theorems 1.4 and 1.5 (`F_p`, `0 < p ≤ 2`) |
+//! | `fp_large(p)` | Theorem 1.7 (`F_p`, `p > 2`) |
+//! | `turnstile_fp(p, λ)` | Theorem 1.6 (λ-flip turnstile) |
+//! | `heavy_hitters()` → [`robust_heavy_hitters::RobustL2HeavyHitters`] | Theorem 1.9 (`L₂` heavy hitters) |
+//! | `entropy()` ([`robust_entropy::EntropyMethod`]) | Theorem 1.10 (entropy) |
+//! | `bounded_deletion_fp(p, α)` | Theorem 1.11 (bounded deletions) |
+//! | `f0()` / `fp(p)` with `Strategy::DpAggregation` ([`dp_aggregation::DpAggregation`]) | Hassidim et al. 2020 (`O(√λ)` DP pool) |
+//! | `f0()` / `fp(p)` with `Strategy::DifferenceEstimators` ([`difference_estimators::DifferenceEstimators`]) | Attias et al. 2022 (`O(log λ)` chunk pool) |
+//!
+//! Heavy hitters is the one problem-specific type: it answers point
+//! queries as well as the scalar norm. The supporting machinery —
+//! ε-rounding ([`rounding`]) and flip-number bounds ([`flip_number`]) — is
+//! public as well, so new robust estimators can be assembled from any
+//! static sketch implementing [`ars_sketch::EstimatorFactory`].
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;
 pub mod builder;
 pub mod computation_paths;
-pub mod crypto_f0;
 pub mod difference_estimators;
 pub mod dp_aggregation;
 pub mod engine;
@@ -126,12 +130,8 @@ pub mod flip_number;
 pub mod json;
 pub mod manager;
 pub mod registry;
-pub mod robust_bounded_deletion;
 pub mod robust_entropy;
-pub mod robust_f0;
-pub mod robust_fp;
 pub mod robust_heavy_hitters;
-pub mod robust_turnstile;
 pub mod rounding;
 pub mod session;
 pub mod sketch_switch;
@@ -141,7 +141,6 @@ pub mod strategy;
 pub use api::RobustEstimator;
 pub use builder::{RobustBuilder, Strategy};
 pub use computation_paths::{ComputationPaths, ComputationPathsConfig};
-pub use crypto_f0::{CryptoBackend, CryptoRobustF0, CryptoRobustF0Builder};
 pub use difference_estimators::{
     ChunkScheduleInfo, DifferenceEstimators, DifferenceEstimatorsStrategy, DifferenceSchedule,
 };
@@ -153,16 +152,13 @@ pub use flip_number::{empirical_flip_number, FlipNumberBound};
 pub use json::{escape_into, JsonError, JsonValue, JsonWriter};
 pub use manager::{Provisioner, SessionManager, TenantHealth};
 pub use registry::{standard_registry, RegistryEntry, RegistryParams};
-pub use robust_bounded_deletion::{RobustBoundedDeletionFp, RobustBoundedDeletionFpBuilder};
-pub use robust_entropy::{EntropyMethod, RobustEntropy, RobustEntropyBuilder};
-pub use robust_f0::{F0Method, RobustF0, RobustF0Builder};
-pub use robust_fp::{FpMethod, RobustFp, RobustFpBuilder, RobustFpLarge, RobustFpLargeBuilder};
-pub use robust_heavy_hitters::{RobustL2HeavyHitters, RobustL2HeavyHittersBuilder};
-pub use robust_turnstile::{RobustTurnstileFp, RobustTurnstileFpBuilder};
+pub use robust_entropy::EntropyMethod;
+pub use robust_heavy_hitters::RobustL2HeavyHitters;
 pub use rounding::{round_to_power, EpsilonRounder};
 pub use session::StreamSession;
 pub use sketch_switch::{SketchSwitch, SketchSwitchConfig, SwitchStrategy};
 pub use spec::{ProblemSpec, ProvisionerSpec};
 pub use strategy::{
-    ComputationPathsStrategy, CryptoMaskStrategy, PoolPolicy, RobustStrategy, SketchSwitchStrategy,
+    ComputationPathsStrategy, CryptoBackend, CryptoMaskStrategy, PoolPolicy, RobustStrategy,
+    SketchSwitchStrategy,
 };

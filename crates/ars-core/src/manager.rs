@@ -630,7 +630,7 @@ impl std::fmt::Debug for SessionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::RobustBuilder;
+    use crate::builder::{RobustBuilder, Strategy};
     use ars_stream::generator::{Generator, TurnstileWaveGenerator};
     use ars_stream::StreamModel;
 
@@ -821,8 +821,11 @@ mod tests {
         let mut manager = SessionManager::new();
         manager.register(
             "crypto",
-            StreamSession::new(StreamModel::InsertionOnly, Box::new(builder.crypto_f0()))
-                .with_exact_state(),
+            StreamSession::new(
+                StreamModel::InsertionOnly,
+                Box::new(builder.strategy(Strategy::Crypto(Default::default())).f0()),
+            )
+            .with_exact_state(),
             Box::new(|lambda| {
                 panic!("the provisioner must not be invoked (got lambda = {lambda})")
             }),

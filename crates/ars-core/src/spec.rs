@@ -18,7 +18,7 @@ use ars_stream::StreamModel;
 
 use crate::api::RobustEstimator;
 use crate::builder::{RobustBuilder, Strategy};
-use crate::error::ArsError;
+use crate::error::{ArsError, BuildError};
 use crate::json::{JsonValue, JsonWriter};
 use crate::manager::Provisioner;
 use crate::strategy::CryptoBackend;
@@ -65,8 +65,10 @@ pub enum ProblemSpec {
     /// is bespoke (no engine publication seam), so its restored readings
     /// are within-guarantee rather than bitwise-stable.
     HeavyHitters,
-    /// The cryptographic `F₀` route (Theorem 10.1) —
-    /// [`RobustBuilder::crypto_f0`].
+    /// The cryptographic `F₀` route (Theorem 10.1) — [`RobustBuilder::f0`]
+    /// with `Strategy::Crypto(..)`: the spec's strategy override picks the
+    /// backend (default [`CryptoBackend::ChaChaPrf`]); a non-crypto
+    /// override is a typed [`crate::error::BuildError::StrategyMismatch`].
     CryptoF0,
 }
 
@@ -261,7 +263,20 @@ impl ProvisionerSpec {
             }
             ProblemSpec::Entropy => Box::new(builder.try_entropy()?),
             ProblemSpec::HeavyHitters => Box::new(builder.try_heavy_hitters()?),
-            ProblemSpec::CryptoF0 => Box::new(builder.try_crypto_f0()?),
+            ProblemSpec::CryptoF0 => match self
+                .strategy
+                .unwrap_or(Strategy::Crypto(CryptoBackend::default()))
+            {
+                crypto @ Strategy::Crypto(_) => Box::new(builder.strategy(crypto).try_f0()?),
+                _ => {
+                    return Err(BuildError::StrategyMismatch {
+                        problem: "crypto-f0 (Theorem 10.1)",
+                        detail: "the cryptographic F0 route takes a Strategy::Crypto(..) \
+                                 override or none",
+                    }
+                    .into())
+                }
+            },
         })
     }
 
@@ -458,6 +473,18 @@ mod tests {
                 .delta(0.25)
                 .strategy(Strategy::Crypto(CryptoBackend::RandomOracle)),
         ]
+    }
+
+    #[test]
+    fn crypto_f0_spec_rejects_a_conflicting_strategy() {
+        let spec =
+            ProvisionerSpec::new(ProblemSpec::CryptoF0, 0.1).strategy(Strategy::SketchSwitching);
+        assert!(matches!(
+            spec.build(None),
+            Err(ArsError::Build(BuildError::StrategyMismatch { .. }))
+        ));
+        let crypto = ProvisionerSpec::new(ProblemSpec::CryptoF0, 0.1);
+        assert_eq!(crypto.build(None).unwrap().strategy_name(), "crypto-mask");
     }
 
     #[test]

@@ -183,15 +183,35 @@ pub enum CryptoBackend {
     RandomOracle,
 }
 
-/// The cryptographic transformation of Theorem 10.1 as a
+/// The cryptographic transformation of Theorem 10.1 (Section 10) as a
 /// [`RobustStrategy`]: mask every inserted item through a secret PRF and
 /// feed the image to an ordinary static sketch.
 ///
-/// Only sound for sketches whose state is invariant under duplicate
-/// insertions (KMV, the level-list sketch): given that, any adaptive
-/// adversary is equivalent to one streaming `1, 2, 3, …`, i.e. a static
-/// adversary. Outputs are published raw — the argument does not go through
-/// ε-rounding, so the wrapped estimator reports no flip budget.
+/// Against a *computationally bounded* adversary this is a much cheaper
+/// route to robust distinct elements than sketch switching. The argument
+/// needs exactly two properties:
+///
+/// 1. the static sketch never changes its state when it receives an item
+///    it has already incorporated — true for KMV and the level-list
+///    sketch, both of which store (hashes of) item identities; and
+/// 2. the adversary cannot distinguish the PRF images of fresh items from
+///    fresh uniform values.
+///
+/// Given those, any adaptive adversary is equivalent to one that streams
+/// `1, 2, 3, …`, i.e. a static adversary, and the static tracking
+/// guarantee applies. So the strategy is only sound for duplicate-invariant
+/// sketches (the `F₀` family): [`crate::builder::RobustBuilder::f0`] with
+/// `Strategy::Crypto(..)` is its one builder route, and the `F_p`
+/// constructors reject it. Outputs are published raw — the argument does
+/// not go through ε-rounding, so the wrapped estimator reports no flip
+/// budget ([`crate::estimate::FlipBudget::Unbounded`]).
+///
+/// The cost over the static algorithm is just the PRF key: `O(c log n)`
+/// bits against `n^c`-time adversaries — the "essentially no extra cost"
+/// row of Table 1. [`Estimator::space_bytes`] charges the key for the
+/// concrete PRF and only the seed in the random-oracle model. Theorem 10.1
+/// states success probability 3/4;
+/// [`crate::builder::RobustBuilder::theorem_10_1`] pins that δ = 1/4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CryptoMaskStrategy {
     /// Keyed-function backend.

@@ -5,11 +5,13 @@
 //! updates consistent with per-update streaming, and builder validation.
 
 use adversarial_robust_streaming::robust::registry::RegistryEntry;
+use adversarial_robust_streaming::robust::spec::{ProblemSpec, ProvisionerSpec};
 use adversarial_robust_streaming::robust::{
-    standard_registry, ArsError, DifferenceSchedule, DpAggregationConfig, Estimate, FlipBudget,
-    Health, RegistryParams, RobustBuilder, RobustEstimator, SketchSwitchConfig, Strategy,
-    StreamSession,
+    standard_registry, ArsError, CryptoBackend, DifferenceSchedule, DpAggregationConfig, Estimate,
+    FlipBudget, Health, RegistryParams, RobustBuilder, RobustEstimator, SketchSwitchConfig,
+    Strategy, StreamSession,
 };
+use adversarial_robust_streaming::sketch::Estimator;
 use adversarial_robust_streaming::stream::generator::Generator;
 use adversarial_robust_streaming::stream::{StreamModel, StreamValidator, Update, ValidationTier};
 
@@ -110,12 +112,14 @@ fn raw_mode_batching_is_bitwise_identical() {
         .stream_length(p.stream_length)
         .domain(p.domain)
         .seed(9)
-        .crypto_f0();
+        .strategy(Strategy::Crypto(CryptoBackend::default()))
+        .f0();
     let mut batched = RobustBuilder::new(p.epsilon)
         .stream_length(p.stream_length)
         .domain(p.domain)
         .seed(9)
-        .crypto_f0();
+        .strategy(Strategy::Crypto(CryptoBackend::default()))
+        .f0();
     let updates =
         adversarial_robust_streaming::stream::generator::UniformGenerator::new(p.domain, 7)
             .take_updates(p.stream_length as usize);
@@ -264,17 +268,21 @@ fn difference_estimator_entries_conform_and_reject_model_violations() {
 #[test]
 fn theorem_10_1_preset_reproduces_the_legacy_crypto_sketch() {
     // Identical seed and parameters: the preset must produce bitwise the
-    // same sketch (space and estimates) as the legacy builder that pinned
-    // delta = 1/4 — the footgun recorded in the PR 1 migration table.
+    // same sketch (space and estimates) as the removed legacy crypto
+    // builder, which was the crypto strategy with delta pinned to 1/4 —
+    // the footgun recorded in the migration table.
     let p = params();
-    let mut legacy = adversarial_robust_streaming::robust::CryptoRobustF0Builder::new(p.epsilon)
+    let mut legacy = RobustBuilder::new(p.epsilon)
+        .delta(0.25)
         .stream_length(p.stream_length)
         .seed(9)
-        .build();
+        .strategy(Strategy::Crypto(CryptoBackend::default()))
+        .f0();
     let mut preset = RobustBuilder::theorem_10_1(p.epsilon)
         .stream_length(p.stream_length)
         .seed(9)
-        .crypto_f0();
+        .strategy(Strategy::Crypto(CryptoBackend::default()))
+        .f0();
     assert_eq!(legacy.space_bytes(), preset.space_bytes());
     let updates =
         adversarial_robust_streaming::stream::generator::UniformGenerator::new(p.domain, 3)
@@ -527,7 +535,9 @@ fn try_build_surfaces_structured_errors_for_every_rejected_range() {
         Err(ArsError::Build(BuildError::StrategyMismatch { .. }))
     ));
     assert!(matches!(
-        b.strategy(Strategy::SketchSwitching).try_crypto_f0(),
+        ProvisionerSpec::new(ProblemSpec::CryptoF0, 0.1)
+            .strategy(Strategy::SketchSwitching)
+            .build(None),
         Err(ArsError::Build(BuildError::StrategyMismatch { .. }))
     ));
     assert!(matches!(
@@ -544,7 +554,9 @@ fn try_build_surfaces_structured_errors_for_every_rejected_range() {
     assert!(b.try_bounded_deletion_fp(1.0, 2.0).is_ok());
     assert!(b.try_entropy().is_ok());
     assert!(b.try_heavy_hitters().is_ok());
-    assert!(b.try_crypto_f0().is_ok());
+    assert!(ProvisionerSpec::new(ProblemSpec::CryptoF0, 0.1)
+        .build(None)
+        .is_ok());
 }
 
 /// A deterministic adversarial sequence for `model`: seeded, biased

@@ -108,3 +108,66 @@ fn every_spec_variant_round_trips_through_snapshot_and_restore() {
         );
     }
 }
+
+#[test]
+fn multi_batch_ingest_round_trips_bitwise_for_every_engine_backed_problem() {
+    // The publication ledger only diverges from a replay-derived one once
+    // several publications have happened between batches, so this drives
+    // each tenant with many small batches rather than one.
+    let problems = [
+        ProblemSpec::F0,
+        ProblemSpec::Fp { p: 2.0 },
+        ProblemSpec::FpLarge { p: 3.0 },
+        ProblemSpec::TurnstileFp { p: 2.0, lambda: 4 },
+        ProblemSpec::BoundedDeletionFp { p: 2.0, alpha: 4.0 },
+        ProblemSpec::Entropy,
+        ProblemSpec::HeavyHitters,
+        ProblemSpec::CryptoF0,
+    ];
+
+    for problem in problems {
+        let name = problem.name();
+        let spec = ProvisionerSpec::new(problem, 0.25)
+            .domain(1 << 8)
+            .max_frequency(128)
+            .stream_length(1 << 12)
+            .seed(31);
+
+        let mut manager = SessionManager::new();
+        manager
+            .register_spec(name, spec)
+            .unwrap_or_else(|e| panic!("{name}: register failed: {e}"));
+        for batch in workload(&problem).chunks(50) {
+            manager
+                .update_batch(name, batch)
+                .unwrap_or_else(|e| panic!("{name}: ingest failed: {e}"));
+        }
+
+        let before = manager
+            .query(name)
+            .unwrap_or_else(|e| panic!("{name}: query failed: {e}"));
+        let mut restored = SessionManager::new();
+        restored
+            .restore_json(&manager.snapshot_json())
+            .unwrap_or_else(|e| panic!("{name}: restore failed: {e}"));
+        let after = restored
+            .query(name)
+            .unwrap_or_else(|e| panic!("{name}: restored query failed: {e}"));
+
+        if bitwise(&problem) {
+            assert_eq!(
+                before.to_json(),
+                after.to_json(),
+                "{name}: engine-backed restore after batched ingest must be bitwise-identical"
+            );
+        } else {
+            assert_eq!(after.health, Health::WithinGuarantee, "{name}");
+            assert!(
+                after.guarantee.contains(before.value),
+                "{name}: restored guarantee {:?} lost the live value {}",
+                after.guarantee,
+                before.value
+            );
+        }
+    }
+}
