@@ -14,7 +14,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::field::{poly_eval, MERSENNE_P};
+use crate::field::{add, poly_eval, sub, MERSENNE_P};
 
 /// A k-wise independent hash function `h : u64 → [0, MERSENNE_P)`.
 ///
@@ -90,6 +90,45 @@ impl KWiseHash {
         }
         // The hash is < 2^61; level j means h ∈ [2^{61-j-1}, 2^{61-j}).
         (60 - (63 - h.leading_zeros())).min(60)
+    }
+
+    /// Evaluates the hash on the `count` consecutive keys `start, start + 1,
+    /// …, start + count − 1`, in order.
+    ///
+    /// The keys form an arithmetic progression in the field, so a
+    /// degree-(k−1) polynomial has a constant (k−1)-th forward difference:
+    /// after k Horner evaluations to seed the difference table, every
+    /// further value costs k−1 field additions and no multiplications. The
+    /// values are bitwise identical to [`KWiseHash::hash`] on each key.
+    ///
+    /// # Panics
+    /// Panics if the last key `start + count − 1` overflows `u64`: the
+    /// wrapped key would jump by `−2^64 ≡ −8` in the field and leave the
+    /// progression.
+    pub fn hash_consecutive(&self, start: u64, count: usize) -> impl Iterator<Item = u64> {
+        assert!(
+            count == 0 || start.checked_add(count as u64 - 1).is_some(),
+            "consecutive keys must not wrap u64"
+        );
+        let x0 = start % MERSENNE_P;
+        let k = self.coefficients.len();
+        let mut diffs: Vec<u64> = (0..k as u64)
+            .map(|j| poly_eval(&self.coefficients, add(x0, j)))
+            .collect();
+        // Newton's table in place: diffs[i] becomes the i-th forward
+        // difference at x0.
+        for level in 1..k {
+            for i in (level..k).rev() {
+                diffs[i] = sub(diffs[i], diffs[i - 1]);
+            }
+        }
+        (0..count).map(move |_| {
+            let value = diffs[0];
+            for i in 0..k - 1 {
+                diffs[i] = add(diffs[i], diffs[i + 1]);
+            }
+            value
+        })
     }
 
     /// Evaluates the hash on a batch of items.
@@ -228,6 +267,38 @@ mod tests {
         for (i, &item) in items.iter().enumerate() {
             assert_eq!(batch[i], h.hash(item));
         }
+    }
+
+    #[test]
+    fn consecutive_walk_matches_pointwise_hashing() {
+        const COUNT: usize = 40;
+        // Runs that start at 0, cross a multiple of p, start past 7p, and
+        // end on the largest u64 key (crossing 8p = 2^64 − 8).
+        let starts = [
+            0,
+            MERSENNE_P - 3,
+            MERSENNE_P - 1,
+            2 * MERSENNE_P - 17,
+            7 * MERSENNE_P + 5,
+            u64::MAX - (COUNT as u64 - 1),
+        ];
+        for k in 1..=8 {
+            let h = KWiseHash::new(k, 40 + k as u64);
+            for &start in &starts {
+                let walked: Vec<u64> = h.hash_consecutive(start, COUNT).collect();
+                assert_eq!(walked.len(), COUNT);
+                for (j, &value) in walked.iter().enumerate() {
+                    assert_eq!(value, h.hash(start + j as u64), "k={k} start={start} j={j}");
+                }
+            }
+            assert_eq!(h.hash_consecutive(u64::MAX, 0).count(), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must not wrap")]
+    fn consecutive_walk_rejects_wrapping_keys() {
+        let _ = KWiseHash::new(4, 1).hash_consecutive(u64::MAX - 1, 3);
     }
 
     #[test]

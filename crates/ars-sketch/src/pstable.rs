@@ -1,27 +1,40 @@
-//! p-stable sketching for `F_p` estimation, `0 < p ≤ 2` (Indyk's estimator).
+//! p-stable sketching for `F_p` estimation, `0 < p ≤ 2`.
 //!
-//! The sketch maintains `k = Θ(1/ε²)` linear measurements
-//! `z_j = Σ_i X_{j,i} · f_i` where the `X_{j,i}` are (approximately
-//! independent) standard p-stable random variables derived
-//! deterministically from hash functions, so an update `(i, Δ)` costs `k`
-//! multiply-adds and no per-item state. By p-stability each `z_j` is
-//! distributed as `‖f‖_p · X` for a standard p-stable `X`, so the median of
-//! `|z_j|` rescaled by the median of `|X|` is a `(1 ± ε)` estimate of
-//! `‖f‖_p` with constant probability; the strong-tracking wrapper in
-//! [`crate::tracking`] boosts this to the `(ε, δ)` guarantee of Lemma 2.2.
+//! The sketch keeps `rows = Θ(1/ε²)` linear counters and no per-item state.
+//! How an update `(i, Δ)` reaches them depends on `p`:
+//!
+//! * **`p = 2`: fast AMS** (Thorup–Zhang bucketing). One 4-wise hash sends
+//!   the item to a bucket `b(i)`, an independent 4-wise hash gives it a
+//!   sign `s(i) = ±1`, and the update adds `s(i)·Δ` to counter `b(i)`: two
+//!   hash evaluations and one add, whatever `rows` is. The estimate is
+//!   `F₂ ≈ Σ_b z_b²`, which is unbiased with variance at most
+//!   `2F₂²/rows`, the same bound as the mean of `rows` dense AMS squares.
+//! * **`p ≠ 2`: Indyk's estimator.** Every counter is a measurement
+//!   `z_j = Σ_i X_{j,i} · f_i` with standard p-stable `X_{j,i}`, built by
+//!   the Chambers–Mallows–Stuck (CMS) transform from two hash-derived
+//!   uniforms (one, through a single `tan`, for the Cauchy case `p = 1`).
+//!   By p-stability each `z_j` is distributed as `‖f‖_p · X`, so the median
+//!   of `|z_j|` rescaled by the median of `|X|` is a `(1 ± ε)` estimate of
+//!   `‖f‖_p` with constant probability. The hash keys of one item's rows,
+//!   `i·φ + j`, are consecutive, so [`KWiseHash::hash_consecutive`] walks
+//!   them with three field additions a row after four Horner evaluations;
+//!   an update costs `rows` variate transforms and multiply-adds. The
+//!   calibration constant `median(|X_p|)` is a fixed-seed Monte-Carlo
+//!   estimate, computed once per `p` in a process.
+//!
+//! The strong-tracking wrapper in [`crate::tracking`] boosts either
+//! estimator to the `(ε, δ)` guarantee of Lemma 2.2.
 //!
 //! This is the static ingredient behind Theorems 1.4, 1.5 and 4.3 of the
 //! paper. The Kane–Nelson–Woodruff sketch cited there (\[27\]) achieves
-//! optimal constants; the p-stable construction used here has the same
+//! optimal constants; the construction used here has the same
 //! `O(ε^{-2} log n · log δ^{-1})`-bit shape, which is what the experiments
 //! compare against.
-//!
-//! p-stable variates are generated by the Chambers–Mallows–Stuck (CMS)
-//! transform from two hash-derived uniforms; for `p = 2` the CMS transform
-//! degenerates to (a scaling of) a Gaussian, so the same code path covers
-//! the whole range `(0, 2]`. The calibration constant `median(|X_p|)` is
-//! estimated once per configuration by Monte-Carlo with a fixed seed.
 
+use std::collections::BTreeMap;
+use std::sync::{Mutex, PoisonError};
+
+use ars_hash::field::MERSENNE_P;
 use ars_hash::KWiseHash;
 use ars_stream::Update;
 use rand::rngs::StdRng;
@@ -34,7 +47,7 @@ use crate::{Estimator, EstimatorFactory};
 pub struct PStableConfig {
     /// The moment order `p ∈ (0, 2]`.
     pub p: f64,
-    /// Number of linear measurements; `Θ(1/ε²)`.
+    /// Number of counters; `Θ(1/ε²)`.
     pub rows: usize,
 }
 
@@ -56,7 +69,8 @@ impl PStableConfig {
     /// exponentially in the row count, so rows scale as
     /// `Θ(ε^{-2} log(1/δ))`. The `log(1/δ)` boost is capped (part of the
     /// documented constant-factor substitutions in DESIGN.md) so the
-    /// composite robust estimators stay laptop-runnable.
+    /// composite robust estimators stay laptop-runnable. For `p = 2` the
+    /// boost instead shrinks the fast AMS variance bound `2F₂²/rows`.
     #[must_use]
     pub fn for_tracking(p: f64, epsilon: f64, delta: f64) -> Self {
         assert!(p > 0.0 && p <= 2.0, "p must lie in (0, 2]");
@@ -69,6 +83,11 @@ impl PStableConfig {
         }
     }
 }
+
+/// Multiplier that spreads one item's row keys `item·φ + row` over the
+/// key space (φ = 2⁶⁴ / golden ratio, odd, so `item ↦ item·φ` is a
+/// bijection of `u64`).
+const ROW_KEY_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Generates a standard p-stable variate from two uniforms in `(0, 1)` via
 /// the Chambers–Mallows–Stuck transform.
@@ -88,26 +107,52 @@ fn cms_pstable(p: f64, u1: f64, u2: f64) -> f64 {
     a * b
 }
 
-/// Estimates the median of `|X|` for a standard p-stable variable by
-/// Monte-Carlo with a fixed seed, so every sketch built for the same `p`
-/// uses the same calibration constant.
-#[must_use]
-fn median_abs_pstable(p: f64) -> f64 {
-    const SAMPLES: usize = 40_001;
-    let mut rng = StdRng::seed_from_u64(0xC0FF_EE00 ^ (p * 1_000_000.0) as u64);
-    let mut values: Vec<f64> = (0..SAMPLES)
-        .map(|_| cms_pstable(p, rng.gen(), rng.gen()).abs())
-        .collect();
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite variates"));
-    values[SAMPLES / 2]
+/// A standard Cauchy (1-stable) variate from one uniform: a single tangent.
+#[inline]
+fn cauchy(u1: f64) -> f64 {
+    (std::f64::consts::PI * (u1.clamp(1e-12, 1.0 - 1e-12) - 0.5)).tan()
 }
 
-/// The p-stable `F_p` sketch.
+/// Maps a field hash value to `[0, 1)`, as [`KWiseHash::to_unit`] does.
+#[inline]
+fn unit(hash: u64) -> f64 {
+    hash as f64 / MERSENNE_P as f64
+}
+
+/// The median of `|X|` for a standard p-stable variable, estimated by
+/// Monte-Carlo with a fixed seed, so every sketch built for the same `p`
+/// uses the same calibration constant. The estimate costs 40,001 CMS
+/// draws and a sort, so it is computed once per `p` in a process.
+#[must_use]
+fn median_abs_pstable(p: f64) -> f64 {
+    static MEDIANS: Mutex<BTreeMap<u64, f64>> = Mutex::new(BTreeMap::new());
+    // A panic while sampling inserts nothing, so a poisoned map is valid.
+    let mut medians = MEDIANS.lock().unwrap_or_else(PoisonError::into_inner);
+    *medians.entry(p.to_bits()).or_insert_with(|| {
+        const SAMPLES: usize = 40_001;
+        let mut rng = StdRng::seed_from_u64(0xC0FF_EE00 ^ (p * 1_000_000.0) as u64);
+        let mut values: Vec<f64> = (0..SAMPLES)
+            .map(|_| cms_pstable(p, rng.gen(), rng.gen()).abs())
+            .collect();
+        values.sort_by(f64::total_cmp);
+        values[SAMPLES / 2]
+    })
+}
+
+/// The p-stable `F_p` sketch: fast AMS for `p = 2`, Indyk's median
+/// estimator for every other `p ∈ (0, 2)`.
+///
+/// An update costs two hash evaluations and one add for `p = 2`, and
+/// `rows` hash-walk steps, variate transforms and multiply-adds otherwise
+/// (see the module docs). The space is `rows` counters plus two degree-3
+/// hash polynomials either way.
 #[derive(Debug, Clone)]
 pub struct PStableSketch {
     config: PStableConfig,
-    /// Hashes producing the two per-(row, item) uniforms.
+    /// `p = 2`: the sign hash. Otherwise: the first per-(row, item) uniform.
     uniform_a: KWiseHash,
+    /// `p = 2`: the bucket hash. Otherwise: the second per-(row, item)
+    /// uniform (unused by the Cauchy transform).
     uniform_b: KWiseHash,
     counters: Vec<f64>,
     /// `median(|X_p|)` calibration constant.
@@ -122,8 +167,8 @@ impl PStableSketch {
         assert!(config.rows > 0);
         let mut rng = StdRng::seed_from_u64(seed);
         let calibration = if Self::is_gaussian(config.p) {
-            // The p = 2 fast path uses the mean-of-squares estimator, which
-            // needs no calibration constant.
+            // The p = 2 estimator is a sum of squares and needs no
+            // calibration constant.
             1.0
         } else {
             median_abs_pstable(config.p)
@@ -137,36 +182,33 @@ impl PStableSketch {
         }
     }
 
-    /// Whether the configured `p` takes the Rademacher (AMS-style) fast
-    /// path instead of the Chambers–Mallows–Stuck transform.
+    /// Whether the configured `p` takes the fast AMS path instead of the
+    /// Chambers–Mallows–Stuck transform.
     #[inline]
     fn is_gaussian(p: f64) -> bool {
         (p - 2.0).abs() < 1e-12
     }
 
-    /// The p-stable variate assigned to `(row, item)`.
+    /// Whether the configured `p` takes the single-tangent Cauchy transform.
+    #[inline]
+    fn is_cauchy(&self) -> bool {
+        (self.config.p - 1.0).abs() < 1e-12
+    }
+
+    /// The p-stable variate assigned to `(row, item)` for `p ≠ 2`, one key
+    /// at a time. [`Estimator::update`] walks the same keys with
+    /// [`KWiseHash::hash_consecutive`] and produces the same values.
     #[inline]
     fn variate(&self, row: usize, item: u64) -> f64 {
         // Mix the row into the key so one pair of hash functions serves all
         // rows; distinct (row, item) pairs map to distinct keys because the
         // row count is far below 2^20.
         let key = item
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_mul(ROW_KEY_MULTIPLIER)
             .wrapping_add(row as u64);
-        if Self::is_gaussian(self.config.p) {
-            // For p = 2, ±1 entries suffice (the counters then form an AMS
-            // sketch whose mean of squares is an unbiased F₂ estimate); this
-            // avoids the trigonometric CMS transform on the hot path.
-            return if self.uniform_a.hash(key) & 1 == 0 {
-                1.0
-            } else {
-                -1.0
-            };
-        }
         let u1 = self.uniform_a.to_unit(key);
-        if (self.config.p - 1.0).abs() < 1e-12 {
-            // Cauchy fast path: a single tangent evaluation.
-            return (std::f64::consts::PI * (u1.clamp(1e-12, 1.0 - 1e-12) - 0.5)).tan();
+        if self.is_cauchy() {
+            return cauchy(u1);
         }
         let u2 = self.uniform_b.to_unit(key);
         cms_pstable(self.config.p, u1, u2)
@@ -176,14 +218,12 @@ impl PStableSketch {
     #[must_use]
     pub fn norm_estimate(&self) -> f64 {
         if Self::is_gaussian(self.config.p) {
-            let mean: f64 =
-                self.counters.iter().map(|z| z * z).sum::<f64>() / self.counters.len() as f64;
-            return mean.sqrt();
+            return self.counters.iter().map(|z| z * z).sum::<f64>().sqrt();
         }
         let mut magnitudes: Vec<f64> = self.counters.iter().map(|z| z.abs()).collect();
-        magnitudes.sort_by(|a, b| a.partial_cmp(b).expect("finite counters"));
-        let median = magnitudes[magnitudes.len() / 2];
-        median / self.calibration
+        let middle = magnitudes.len() / 2;
+        let (_, median, _) = magnitudes.select_nth_unstable_by(middle, f64::total_cmp);
+        *median / self.calibration
     }
 
     /// The moment order this sketch estimates.
@@ -196,9 +236,37 @@ impl PStableSketch {
 impl Estimator for PStableSketch {
     fn update(&mut self, update: Update) {
         let delta = update.delta as f64;
-        for row in 0..self.config.rows {
-            let x = self.variate(row, update.item);
-            self.counters[row] += x * delta;
+        let rows = self.config.rows;
+        if Self::is_gaussian(self.config.p) {
+            let bucket = self.uniform_b.bucket(update.item, rows as u64) as usize;
+            let sign = if self.uniform_a.hash(update.item) & 1 == 0 {
+                1.0
+            } else {
+                -1.0
+            };
+            self.counters[bucket] += sign * delta;
+            return;
+        }
+        let first_key = update.item.wrapping_mul(ROW_KEY_MULTIPLIER);
+        if first_key.checked_add(rows as u64).is_none() {
+            // The row keys wrap u64 (a jump of −8 in the field), so they are
+            // not one progression: hash them one at a time.
+            for row in 0..rows {
+                self.counters[row] += self.variate(row, update.item) * delta;
+            }
+            return;
+        }
+        let u1s = self.uniform_a.hash_consecutive(first_key, rows);
+        if self.is_cauchy() {
+            for (counter, h1) in self.counters.iter_mut().zip(u1s) {
+                *counter += cauchy(unit(h1)) * delta;
+            }
+            return;
+        }
+        let p = self.config.p;
+        let u2s = self.uniform_b.hash_consecutive(first_key, rows);
+        for ((counter, h1), h2) in self.counters.iter_mut().zip(u1s).zip(u2s) {
+            *counter += cms_pstable(p, unit(h1), unit(h2)) * delta;
         }
     }
 
@@ -234,7 +302,7 @@ impl EstimatorFactory for PStableFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ars_stream::generator::{Generator, ZipfGenerator};
+    use ars_stream::generator::{Generator, UniformGenerator, ZipfGenerator};
     use ars_stream::FrequencyVector;
 
     fn relative_error(estimate: f64, truth: f64) -> f64 {
@@ -284,6 +352,89 @@ mod tests {
         }
         let err = relative_error(sketch.estimate(), truth.f2());
         assert!(err < 0.2, "F2 relative error {err}");
+    }
+
+    #[test]
+    fn fast_ams_tracks_f2_across_seeds_and_streams() {
+        // The fast AMS estimator at tracking sizing stays within the bound
+        // of `estimates_f2_on_zipf_streams` (0.2) on skewed and flat
+        // streams.
+        let config = PStableConfig::for_tracking(2.0, 0.1, 1e-3);
+        for seed in 0..10u64 {
+            let streams = [
+                ZipfGenerator::new(2_000, 1.1, 100 + seed).take_updates(30_000),
+                UniformGenerator::new(5_000, 200 + seed).take_updates(30_000),
+            ];
+            for updates in &streams {
+                let truth: FrequencyVector = updates.iter().copied().collect();
+                let mut sketch = PStableSketch::new(config, 300 + seed);
+                for &u in updates {
+                    sketch.update(u);
+                }
+                let err = relative_error(sketch.estimate(), truth.f2());
+                assert!(err < 0.2, "seed {seed}: F2 relative error {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn fast_ams_cancels_deletions_and_keeps_its_space() {
+        let config = PStableConfig::for_tracking(2.0, 0.1, 1e-3);
+        let mut sketch = PStableSketch::new(config, 29);
+        for i in 0..300u64 {
+            sketch.update(Update::new(i, 3));
+        }
+        assert!(sketch.estimate() > 0.0);
+        for i in 0..300u64 {
+            sketch.update(Update::new(i, -3));
+        }
+        assert_eq!(sketch.estimate(), 0.0);
+        // Same bytes as any p ≠ 2 sketch with the same rows: the counters
+        // plus two degree-3 hash polynomials.
+        assert_eq!(sketch.space_bytes(), config.rows * 8 + 2 * 4 * 8);
+        let cauchy = PStableSketch::new(PStableConfig { p: 1.0, ..config }, 29);
+        assert_eq!(sketch.space_bytes(), cauchy.space_bytes());
+    }
+
+    #[test]
+    fn hash_walk_matches_the_per_row_variates_bitwise() {
+        // The inverse of the row-key multiplier mod 2^64 (Newton's
+        // iteration doubles the correct low bits each step).
+        let mut inverse = ROW_KEY_MULTIPLIER;
+        for _ in 0..6 {
+            inverse =
+                inverse.wrapping_mul(2u64.wrapping_sub(ROW_KEY_MULTIPLIER.wrapping_mul(inverse)));
+        }
+        assert_eq!(ROW_KEY_MULTIPLIER.wrapping_mul(inverse), 1);
+        let rows = 257;
+        // This item's first row key is u64::MAX − 5, so its row keys wrap
+        // and the update takes the per-row fallback.
+        let wrapping_item = (u64::MAX - 5).wrapping_mul(inverse);
+        assert!(wrapping_item
+            .wrapping_mul(ROW_KEY_MULTIPLIER)
+            .checked_add(rows as u64)
+            .is_none());
+        let updates = [
+            Update::new(0, 1),
+            Update::new(17, 4),
+            Update::new(wrapping_item, 2),
+            Update::new(123_456_789, -3),
+            Update::new(u64::MAX, 1),
+            Update::new(wrapping_item, -1),
+        ];
+        for p in [0.5, 1.0, 1.5] {
+            let mut sketch = PStableSketch::new(PStableConfig { p, rows }, 31);
+            let mut reference = vec![0.0f64; rows];
+            for &u in &updates {
+                sketch.update(u);
+                for (row, counter) in reference.iter_mut().enumerate() {
+                    *counter += sketch.variate(row, u.item) * u.delta as f64;
+                }
+            }
+            for (row, (&got, &want)) in sketch.counters.iter().zip(&reference).enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "p={p} row {row}");
+            }
+        }
     }
 
     #[test]
