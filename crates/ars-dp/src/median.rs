@@ -37,8 +37,8 @@ pub fn estimate_grid(gamma: f64, lo: f64, hi: f64) -> Vec<f64> {
 }
 
 /// The candidate nearest to `v` in multiplicative distance (`candidates`
-/// must be sorted ascending and non-empty). Non-positive `v` snaps to the
-/// bottom of the grid.
+/// must be sorted ascending and non-empty). Non-positive or NaN `v` snaps
+/// to the bottom of the grid.
 fn nearest_candidate(candidates: &[f64], v: f64) -> f64 {
     let i = candidates.partition_point(|&c| c < v);
     if i == 0 {
@@ -86,7 +86,7 @@ pub fn private_median<R: Rng + ?Sized>(
         .iter()
         .map(|&v| nearest_candidate(candidates, v))
         .collect();
-    snapped.sort_by(|a, b| a.partial_cmp(b).expect("estimates are not NaN"));
+    snapped.sort_by(f64::total_cmp);
     let half = snapped.len() as f64 / 2.0;
 
     let mut best = candidates[0];
@@ -113,7 +113,7 @@ pub fn private_median<R: Rng + ?Sized>(
 #[must_use]
 pub fn rank_error(values: &[f64], answer: f64) -> f64 {
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("estimates are not NaN"));
+    sorted.sort_by(f64::total_cmp);
     let rank = sorted.partition_point(|&v| v < answer) as f64;
     (rank - sorted.len() as f64 / 2.0).abs()
 }
@@ -210,6 +210,20 @@ mod tests {
             let answer = private_median(&values, &grid, 1.0, &mut rng);
             assert!(grid.contains(&answer), "answer {answer} not on the grid");
         }
+    }
+
+    #[test]
+    fn non_finite_copy_estimates_still_yield_a_reading() {
+        // A copy that reports NaN snaps to the bottom of the grid and one
+        // that reports ∞ to the top, so the mechanism still releases a
+        // grid value.
+        let grid = estimate_grid(0.1, 1.0, 1e4);
+        let values = [f64::NAN, 50.0, 50.0, 50.0, f64::INFINITY];
+        let mut rng = StdRng::seed_from_u64(3);
+        let answer = private_median(&values, &grid, 3.0, &mut rng);
+        assert!(grid.contains(&answer), "answer {answer} not on the grid");
+        // Positive NaN orders after ∞, so the rank error is still a rank.
+        assert!(rank_error(&values, answer) <= 2.5);
     }
 
     #[test]

@@ -92,43 +92,54 @@ impl KWiseHash {
         (60 - (63 - h.leading_zeros())).min(60)
     }
 
-    /// Evaluates the hash on the `count` consecutive keys `start, start + 1,
-    /// …, start + count − 1`, in order.
+    /// Starts a walk over the `count` consecutive keys `start, start + 1,
+    /// …, start + count − 1`; [`ConsecutiveHashes::fill`] hands out their
+    /// hash values in order, in chunks of any size.
     ///
     /// The keys form an arithmetic progression in the field, so a
     /// degree-(k−1) polynomial has a constant (k−1)-th forward difference:
     /// after k Horner evaluations to seed the difference table, every
     /// further value costs k−1 field additions and no multiplications. The
     /// values are bitwise identical to [`KWiseHash::hash`] on each key.
+    /// `K` is the independence k: with it known at compile time the table
+    /// is a `[u64; K]` the compiler keeps in registers, and the walk never
+    /// allocates.
     ///
     /// # Panics
-    /// Panics if the last key `start + count − 1` overflows `u64`: the
-    /// wrapped key would jump by `−2^64 ≡ −8` in the field and leave the
-    /// progression.
-    pub fn hash_consecutive(&self, start: u64, count: usize) -> impl Iterator<Item = u64> {
+    /// Panics if `K` is not this hash's independence k, or if the last key
+    /// `start + count − 1` overflows `u64` (the wrapped key would jump by
+    /// `−2^64 ≡ −8` in the field and leave the progression).
+    #[must_use]
+    pub fn hash_consecutive<const K: usize>(
+        &self,
+        start: u64,
+        count: usize,
+    ) -> ConsecutiveHashes<K> {
+        assert_eq!(
+            self.coefficients.len(),
+            K,
+            "a walk's K must be the hash's independence k"
+        );
         assert!(
             count == 0 || start.checked_add(count as u64 - 1).is_some(),
             "consecutive keys must not wrap u64"
         );
         let x0 = start % MERSENNE_P;
-        let k = self.coefficients.len();
-        let mut diffs: Vec<u64> = (0..k as u64)
-            .map(|j| poly_eval(&self.coefficients, add(x0, j)))
-            .collect();
+        let mut diffs = [0u64; K];
+        for (j, diff) in diffs.iter_mut().enumerate() {
+            *diff = poly_eval(&self.coefficients, add(x0, j as u64));
+        }
         // Newton's table in place: diffs[i] becomes the i-th forward
         // difference at x0.
-        for level in 1..k {
-            for i in (level..k).rev() {
+        for level in 1..K {
+            for i in (level..K).rev() {
                 diffs[i] = sub(diffs[i], diffs[i - 1]);
             }
         }
-        (0..count).map(move |_| {
-            let value = diffs[0];
-            for i in 0..k - 1 {
-                diffs[i] = add(diffs[i], diffs[i + 1]);
-            }
-            value
-        })
+        ConsecutiveHashes {
+            diffs,
+            remaining: count,
+        }
     }
 
     /// Evaluates the hash on a batch of items.
@@ -141,6 +152,38 @@ impl KWiseHash {
     #[must_use]
     pub fn hash_batch(&self, items: &[u64]) -> Vec<u64> {
         items.iter().map(|&i| self.hash(i)).collect()
+    }
+}
+
+/// A resumable walk over consecutive keys of a k-wise hash, `K` = k,
+/// from [`KWiseHash::hash_consecutive`]: a forward-difference table that
+/// yields one hash value per k−1 field additions.
+#[derive(Debug, Clone)]
+pub struct ConsecutiveHashes<const K: usize> {
+    /// `diffs[i]` is the i-th forward difference at the next key.
+    diffs: [u64; K],
+    /// Keys left in the walk.
+    remaining: usize,
+}
+
+impl<const K: usize> ConsecutiveHashes<K> {
+    /// Writes the hash values of the next `out.len()` keys into `out` and
+    /// advances the walk past them.
+    ///
+    /// # Panics
+    /// Panics if fewer than `out.len()` keys remain.
+    #[inline]
+    pub fn fill(&mut self, out: &mut [u64]) {
+        assert!(out.len() <= self.remaining, "the walk has run out of keys");
+        self.remaining -= out.len();
+        let mut diffs = self.diffs;
+        for slot in out {
+            *slot = diffs[0];
+            for i in 0..K - 1 {
+                diffs[i] = add(diffs[i], diffs[i + 1]);
+            }
+        }
+        self.diffs = diffs;
     }
 }
 
@@ -269,8 +312,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn consecutive_walk_matches_pointwise_hashing() {
+    /// Walks a k = `K` hash and checks every value against `hash`.
+    fn check_consecutive_walk<const K: usize>() {
         const COUNT: usize = 40;
         // Runs that start at 0, cross a multiple of p, start past 7p, and
         // end on the largest u64 key (crossing 8p = 2^64 − 8).
@@ -282,23 +325,61 @@ mod tests {
             7 * MERSENNE_P + 5,
             u64::MAX - (COUNT as u64 - 1),
         ];
-        for k in 1..=8 {
-            let h = KWiseHash::new(k, 40 + k as u64);
-            for &start in &starts {
-                let walked: Vec<u64> = h.hash_consecutive(start, COUNT).collect();
-                assert_eq!(walked.len(), COUNT);
+        // One fill of everything, and fills split at odd offsets.
+        let splits: [&[usize]; 3] = [&[COUNT], &[1, 7, 13, 19], &[3, 0, 5, 31, 1]];
+        let h = KWiseHash::new(K, 40 + K as u64);
+        for &start in &starts {
+            for &split in &splits {
+                let mut walk = h.hash_consecutive::<K>(start, COUNT);
+                let mut walked = vec![0u64; COUNT];
+                let mut offset = 0;
+                for &len in split {
+                    walk.fill(&mut walked[offset..offset + len]);
+                    offset += len;
+                }
+                assert_eq!(offset, COUNT);
                 for (j, &value) in walked.iter().enumerate() {
-                    assert_eq!(value, h.hash(start + j as u64), "k={k} start={start} j={j}");
+                    assert_eq!(
+                        value,
+                        h.hash(start + j as u64),
+                        "k={K} start={start} split={split:?} j={j}"
+                    );
                 }
             }
-            assert_eq!(h.hash_consecutive(u64::MAX, 0).count(), 0);
         }
+        h.hash_consecutive::<K>(u64::MAX, 0).fill(&mut []);
+    }
+
+    #[test]
+    fn consecutive_walk_matches_pointwise_hashing() {
+        check_consecutive_walk::<1>();
+        check_consecutive_walk::<2>();
+        check_consecutive_walk::<3>();
+        check_consecutive_walk::<4>();
+        check_consecutive_walk::<5>();
+        check_consecutive_walk::<6>();
+        check_consecutive_walk::<7>();
+        check_consecutive_walk::<8>();
     }
 
     #[test]
     #[should_panic(expected = "must not wrap")]
     fn consecutive_walk_rejects_wrapping_keys() {
-        let _ = KWiseHash::new(4, 1).hash_consecutive(u64::MAX - 1, 3);
+        let _ = KWiseHash::new(4, 1).hash_consecutive::<4>(u64::MAX - 1, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "independence k")]
+    fn consecutive_walk_rejects_a_mismatched_k() {
+        let _ = KWiseHash::new(4, 1).hash_consecutive::<3>(0, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "run out of keys")]
+    fn consecutive_walk_rejects_overlong_fills() {
+        let mut walk = KWiseHash::new(4, 1).hash_consecutive::<4>(0, 5);
+        walk.fill(&mut [0; 3]);
+        walk.fill(&mut [0; 3]);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod multiply_shift;
 pub mod prf;
 pub mod tabulation;
 
-pub use kwise::{KWiseHash, SignHash};
+pub use kwise::{ConsecutiveHashes, KWiseHash, SignHash};
 pub use multiply_shift::MultiplyShiftHash;
 pub use prf::{ChaChaPrf, Prf, RandomOracle};
 pub use tabulation::TabulationHash;

@@ -29,8 +29,8 @@
 //! `UnknownSession` → 404, `StateUnavailable` → 409, `Stream` → 422,
 //! `BudgetExhausted` → 503.
 
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -205,6 +205,10 @@ impl ServerHandle {
     }
 }
 
+/// How many `max_body_bytes` a peer may still send after a wire-error
+/// response before the server stops draining them and closes anyway.
+const DRAIN_CAP_BODIES: usize = 4;
+
 /// Serves one connection: parse (bounded), route, respond, close.
 fn serve_connection(
     stream: TcpStream,
@@ -219,13 +223,50 @@ fn serve_connection(
         Ok(clone) => clone,
         Err(_) => return,
     };
-    let (route, response) = match read_request(&stream, &config.limits) {
-        Ok(request) => route_request(&request, manager, metrics),
-        Err(err) => ("(malformed)", wire_error_response(&err)),
+    let (route, response, unread_input) = match read_request(&stream, &config.limits) {
+        Ok(request) => {
+            let (route, response) = route_request(&request, manager, metrics);
+            (route, response, false)
+        }
+        Err(err) => ("(malformed)", wire_error_response(&err), true),
     };
     metrics.record(route, response.status, started.elapsed());
     // A write failure means the peer hung up; nothing to do.
     let _ = response.write_to(&mut writer);
+    if unread_input {
+        drain_until_eof(
+            &stream,
+            DRAIN_CAP_BODIES.saturating_mul(config.limits.max_body_bytes),
+            started + config.read_timeout,
+        );
+    }
+}
+
+/// Ends the response with a FIN, then reads and discards what the peer
+/// still sends until EOF, `cap` bytes or `deadline`, whichever comes first.
+///
+/// A wire-error response can leave request bytes unread (an oversized
+/// body is refused before it is read). Closing a socket with unread input
+/// makes the kernel reset the connection, and the reset can reach the
+/// peer before it has read the response, or fail its pending write.
+/// The deadline is the request's own (`read_timeout` from when the
+/// worker took the connection): after a read that timed out it has
+/// passed, so a silent peer holds a worker for one `read_timeout`, not
+/// two.
+fn drain_until_eof(mut stream: &TcpStream, cap: usize, deadline: Instant) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut scratch = [0u8; 8 * 1024];
+    let mut drained = 0usize;
+    while drained < cap {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut scratch) {
+            Ok(0) | Err(_) => return,
+            Ok(read) => drained += read,
+        }
+    }
 }
 
 fn wire_error_response(err: &HttpError) -> Response {

@@ -4,10 +4,11 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use ars_core::manager::SessionManager;
 use ars_serve::client;
-use ars_serve::server::FleetServer;
+use ars_serve::server::{FleetServer, ServerConfig};
 
 /// Sends raw bytes over one connection and returns the status code the
 /// server answered with (0 if the server closed without a response —
@@ -200,5 +201,56 @@ fn sequential_connection_churn_does_not_wedge_the_pool() {
     let (status, body) = client::request(addr, "GET", "/metrics", "").unwrap();
     assert_eq!(status, 200);
     assert!(body.contains("ars_http_requests_total"), "{body}");
+    handle.shutdown();
+}
+
+#[test]
+fn oversized_bodies_get_their_413_every_time() {
+    // The server refuses the body after reading only the head; it must
+    // still let the client finish sending, or closing with unread bytes
+    // resets the connection under the 413.
+    let handle = FleetServer::new(SessionManager::new())
+        .spawn()
+        .expect("spawn");
+    let body = "z".repeat(2 * 1024 * 1024);
+    let mut request = format!(
+        "POST /restore HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    request.extend_from_slice(body.as_bytes());
+    for attempt in 0..20 {
+        assert_eq!(
+            raw_exchange(handle.addr(), &request),
+            413,
+            "attempt {attempt}"
+        );
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn a_silent_peer_holds_the_only_worker_for_one_read_timeout() {
+    // The 400 for a silent peer comes after its read timed out; draining
+    // must not then wait out a second timeout before freeing the worker.
+    let read_timeout = Duration::from_millis(500);
+    let config = ServerConfig {
+        workers: 1,
+        read_timeout,
+        ..ServerConfig::default()
+    };
+    let handle = FleetServer::with_config(SessionManager::new(), config)
+        .spawn()
+        .expect("spawn");
+    let started = Instant::now();
+    let silent = TcpStream::connect(handle.addr()).expect("connect");
+    let (status, _) = client::request(handle.addr(), "GET", "/metrics", "").unwrap();
+    let waited = started.elapsed();
+    assert_eq!(status, 200);
+    assert!(
+        waited < read_timeout * 9 / 5,
+        "the queued request waited {waited:?} behind a silent peer"
+    );
+    drop(silent);
     handle.shutdown();
 }

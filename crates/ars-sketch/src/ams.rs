@@ -108,7 +108,7 @@ impl Estimator for AmsSketch {
 
     fn estimate(&self) -> f64 {
         let mut means: Vec<f64> = (0..self.config.means).map(|g| self.group_mean(g)).collect();
-        means.sort_by(|a, b| a.partial_cmp(b).expect("estimates are finite"));
+        means.sort_by(f64::total_cmp);
         means[means.len() / 2]
     }
 

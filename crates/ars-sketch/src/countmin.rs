@@ -107,11 +107,7 @@ impl Estimator for CountMinSketch {
         let estimate = self.query(update.item);
         self.candidates.insert(update.item, estimate);
         if self.candidates.len() > self.config.candidate_capacity {
-            if let Some((&weakest, _)) = self
-                .candidates
-                .iter()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite estimates"))
-            {
+            if let Some((&weakest, _)) = self.candidates.iter().min_by(|a, b| a.1.total_cmp(b.1)) {
                 self.candidates.remove(&weakest);
             }
         }
@@ -140,7 +136,7 @@ impl PointQueryEstimator for CountMinSketch {
             .keys()
             .map(|&item| (item, self.query(item)))
             .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite estimates"));
+        out.sort_by(|a, b| b.1.total_cmp(&a.1));
         out
     }
 }

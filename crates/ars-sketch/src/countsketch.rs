@@ -101,7 +101,7 @@ impl CountSketch {
                 self.sign_hashes[r].sign(item) as f64 * self.counters[self.counter_index(r, item)]
             })
             .collect();
-        row_estimates.sort_by(|a, b| a.partial_cmp(b).expect("finite estimates"));
+        row_estimates.sort_by(f64::total_cmp);
         let mid = row_estimates.len() / 2;
         if row_estimates.len() % 2 == 1 {
             row_estimates[mid]
@@ -124,7 +124,7 @@ impl CountSketch {
                     .sum()
             })
             .collect();
-        row_sums.sort_by(|a, b| a.partial_cmp(b).expect("finite sums"));
+        row_sums.sort_by(f64::total_cmp);
         row_sums[row_sums.len() / 2]
     }
 
@@ -146,11 +146,7 @@ impl CountSketch {
         self.candidates.insert(item, estimate);
         if self.candidates.len() > self.config.candidate_capacity {
             // Evict the candidate with the smallest refreshed estimate.
-            if let Some((&weakest, _)) = self
-                .candidates
-                .iter()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite estimates"))
-            {
+            if let Some((&weakest, _)) = self.candidates.iter().min_by(|a, b| a.1.total_cmp(b.1)) {
                 if weakest != item || self.candidates.len() > self.config.candidate_capacity {
                     self.candidates.remove(&weakest);
                 }
@@ -192,7 +188,7 @@ impl PointQueryEstimator for CountSketch {
             .keys()
             .map(|&item| (item, self.query(item)))
             .collect();
-        out.sort_by(|a, b| b.1.abs().partial_cmp(&a.1.abs()).expect("finite estimates"));
+        out.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
         out
     }
 }

@@ -120,7 +120,7 @@ impl PointQueryEstimator for MisraGries {
 
     fn candidates(&self) -> Vec<(u64, f64)> {
         let mut out: Vec<(u64, f64)> = self.counters.iter().map(|(&i, &c)| (i, c as f64)).collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite counts"));
+        out.sort_by(|a, b| b.1.total_cmp(&a.1));
         out
     }
 }

@@ -12,15 +12,19 @@
 //! * **`p ≠ 2`: Indyk's estimator.** Every counter is a measurement
 //!   `z_j = Σ_i X_{j,i} · f_i` with standard p-stable `X_{j,i}`, built by
 //!   the Chambers–Mallows–Stuck (CMS) transform from two hash-derived
-//!   uniforms (one, through a single `tan`, for the Cauchy case `p = 1`).
+//!   uniforms. The Cauchy case `p = 1` needs one uniform and a tangent,
+//!   which `cauchy` evaluates without libm: an exact reduction in
+//!   uniform space and one rational function with a single division.
 //!   By p-stability each `z_j` is distributed as `‖f‖_p · X`, so the median
 //!   of `|z_j|` rescaled by the median of `|X|` is a `(1 ± ε)` estimate of
 //!   `‖f‖_p` with constant probability. The hash keys of one item's rows,
 //!   `i·φ + j`, are consecutive, so [`KWiseHash::hash_consecutive`] walks
-//!   them with three field additions a row after four Horner evaluations;
-//!   an update costs `rows` variate transforms and multiply-adds. The
-//!   calibration constant `median(|X_p|)` is a fixed-seed Monte-Carlo
-//!   estimate, computed once per `p` in a process.
+//!   them with three field additions a row after four Horner evaluations.
+//!   An update walks the row hashes into a fixed stack chunk of 128
+//!   values, then runs a straight-line transform-and-add
+//!   loop over the chunk: `rows` hash-walk steps, variate transforms and
+//!   multiply-adds in all. The calibration constant `median(|X_p|)` is a
+//!   fixed-seed Monte-Carlo estimate, computed once per `p` in a process.
 //!
 //! The strong-tracking wrapper in [`crate::tracking`] boosts either
 //! estimator to the `(ε, δ)` guarantee of Lemma 2.2.
@@ -89,31 +93,82 @@ impl PStableConfig {
 /// bijection of `u64`).
 const ROW_KEY_MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// The independence of both hashes: 4-wise, as AMS signs need.
+const HASH_INDEPENDENCE: usize = 4;
+
+/// Row hashes an update walks into its stack chunk at a time.
+const ROW_CHUNK: usize = 128;
+
+/// Whether `p` takes the fast AMS path instead of a p-stable transform.
+#[inline]
+fn is_gaussian(p: f64) -> bool {
+    (p - 2.0).abs() < 1e-12
+}
+
+/// Whether `p` takes the Cauchy transform [`cauchy`].
+#[inline]
+fn is_cauchy(p: f64) -> bool {
+    (p - 1.0).abs() < 1e-9
+}
+
 /// Generates a standard p-stable variate from two uniforms in `(0, 1)` via
-/// the Chambers–Mallows–Stuck transform.
+/// the Chambers–Mallows–Stuck transform ([`cauchy`] of `u1` for `p = 1`).
 #[must_use]
 fn cms_pstable(p: f64, u1: f64, u2: f64) -> f64 {
+    if is_cauchy(p) {
+        return cauchy(u1);
+    }
     // Clamp away from the boundary so logs and divisions stay finite.
     let u1 = u1.clamp(1e-12, 1.0 - 1e-12);
     let u2 = u2.clamp(1e-12, 1.0 - 1e-12);
     let theta = std::f64::consts::PI * (u1 - 0.5);
     let w = -u2.ln();
-    if (p - 1.0).abs() < 1e-9 {
-        // Cauchy: tan(theta) is standard 1-stable.
-        return theta.tan();
-    }
     let a = (p * theta).sin() / theta.cos().powf(1.0 / p);
     let b = ((theta * (1.0 - p)).cos() / w).powf((1.0 - p) / p);
     a * b
 }
 
-/// A standard Cauchy (1-stable) variate from one uniform: a single tangent.
+/// A standard Cauchy (1-stable) variate from one uniform in `(0, 1)`:
+/// `tan(π·(u − ½))`, branch-free and without libm.
+///
+/// The argument is reduced exactly in `u`-space, before any rounding by π:
+/// for `u ∈ [¼, ¾]` the tangent is taken at `s = |u − ½|`, and otherwise
+/// the cotangent at the pole distance `s = min(u, 1 − u)` (all three
+/// differences are exact in `f64`). The Cephes tangent
+/// `tan x = x + x·z·P(z)/Q(z)`, `z = x²`, at `x = π·s ∈ [0, π/4]` is
+/// written as one fraction `N/D`, so the tangent is `N/D` and the cotangent
+/// `D/N`: one division either way. The sign is that of `u − ½`. The result
+/// is within a few ULPs of the exact value everywhere, including near the
+/// poles, where rounding `π·(u − ½)` first would lose the pole distance.
 #[inline]
-fn cauchy(u1: f64) -> f64 {
-    (std::f64::consts::PI * (u1.clamp(1e-12, 1.0 - 1e-12) - 0.5)).tan()
+fn cauchy(u: f64) -> f64 {
+    const P: [f64; 3] = [
+        -1.309_369_391_813_837_9e4,
+        1.153_516_648_385_874_2e6,
+        -1.795_652_519_764_848_8e7,
+    ];
+    const Q: [f64; 4] = [
+        1.368_129_634_706_929_6e4,
+        -1.320_892_344_402_109_7e6,
+        2.500_838_018_233_579e7,
+        -5.386_957_559_294_546_4e7,
+    ];
+    // Clamp away from the poles so the variate stays finite.
+    let u = u.clamp(1e-12, 1.0 - 1e-12);
+    let t = u - 0.5;
+    let inner = t.abs() <= 0.25;
+    let s = if inner { t.abs() } else { u.min(1.0 - u) };
+    let x = std::f64::consts::PI * s;
+    let z = x * x;
+    let p = (P[0] * z + P[1]) * z + P[2];
+    let q = (((z + Q[0]) * z + Q[1]) * z + Q[2]) * z + Q[3];
+    let n = x * (q + z * p);
+    let (num, den) = if inner { (n, q) } else { (q, n) };
+    (num / den).copysign(t)
 }
 
-/// Maps a field hash value to `[0, 1)`, as [`KWiseHash::to_unit`] does.
+/// Maps a field hash value to `[0, 1)`, bitwise as [`KWiseHash::to_unit`]
+/// does.
 #[inline]
 fn unit(hash: u64) -> f64 {
     hash as f64 / MERSENNE_P as f64
@@ -143,9 +198,11 @@ fn median_abs_pstable(p: f64) -> f64 {
 /// estimator for every other `p ∈ (0, 2)`.
 ///
 /// An update costs two hash evaluations and one add for `p = 2`, and
-/// `rows` hash-walk steps, variate transforms and multiply-adds otherwise
-/// (see the module docs). The space is `rows` counters plus two degree-3
-/// hash polynomials either way.
+/// `rows` hash-walk steps, variate transforms and multiply-adds otherwise,
+/// in chunks of 128 rows on the stack (see the module docs). The
+/// Cauchy transform of `p = 1` is one rational function and one division
+/// a row. The space is `rows` counters plus two degree-3 hash polynomials
+/// either way.
 #[derive(Debug, Clone)]
 pub struct PStableSketch {
     config: PStableConfig,
@@ -166,7 +223,7 @@ impl PStableSketch {
         assert!(config.p > 0.0 && config.p <= 2.0);
         assert!(config.rows > 0);
         let mut rng = StdRng::seed_from_u64(seed);
-        let calibration = if Self::is_gaussian(config.p) {
+        let calibration = if is_gaussian(config.p) {
             // The p = 2 estimator is a sum of squares and needs no
             // calibration constant.
             1.0
@@ -174,25 +231,12 @@ impl PStableSketch {
             median_abs_pstable(config.p)
         };
         Self {
-            uniform_a: KWiseHash::from_rng(4, &mut rng),
-            uniform_b: KWiseHash::from_rng(4, &mut rng),
+            uniform_a: KWiseHash::from_rng(HASH_INDEPENDENCE, &mut rng),
+            uniform_b: KWiseHash::from_rng(HASH_INDEPENDENCE, &mut rng),
             counters: vec![0.0; config.rows],
             calibration,
             config,
         }
-    }
-
-    /// Whether the configured `p` takes the fast AMS path instead of the
-    /// Chambers–Mallows–Stuck transform.
-    #[inline]
-    fn is_gaussian(p: f64) -> bool {
-        (p - 2.0).abs() < 1e-12
-    }
-
-    /// Whether the configured `p` takes the single-tangent Cauchy transform.
-    #[inline]
-    fn is_cauchy(&self) -> bool {
-        (self.config.p - 1.0).abs() < 1e-12
     }
 
     /// The p-stable variate assigned to `(row, item)` for `p ≠ 2`, one key
@@ -207,9 +251,6 @@ impl PStableSketch {
             .wrapping_mul(ROW_KEY_MULTIPLIER)
             .wrapping_add(row as u64);
         let u1 = self.uniform_a.to_unit(key);
-        if self.is_cauchy() {
-            return cauchy(u1);
-        }
         let u2 = self.uniform_b.to_unit(key);
         cms_pstable(self.config.p, u1, u2)
     }
@@ -217,7 +258,7 @@ impl PStableSketch {
     /// The `(1 ± ε)` estimate of the norm `‖f‖_p`.
     #[must_use]
     pub fn norm_estimate(&self) -> f64 {
-        if Self::is_gaussian(self.config.p) {
+        if is_gaussian(self.config.p) {
             return self.counters.iter().map(|z| z * z).sum::<f64>().sqrt();
         }
         let mut magnitudes: Vec<f64> = self.counters.iter().map(|z| z.abs()).collect();
@@ -237,7 +278,8 @@ impl Estimator for PStableSketch {
     fn update(&mut self, update: Update) {
         let delta = update.delta as f64;
         let rows = self.config.rows;
-        if Self::is_gaussian(self.config.p) {
+        let p = self.config.p;
+        if is_gaussian(p) {
             let bucket = self.uniform_b.bucket(update.item, rows as u64) as usize;
             let sign = if self.uniform_a.hash(update.item) & 1 == 0 {
                 1.0
@@ -256,17 +298,36 @@ impl Estimator for PStableSketch {
             }
             return;
         }
-        let u1s = self.uniform_a.hash_consecutive(first_key, rows);
-        if self.is_cauchy() {
-            for (counter, h1) in self.counters.iter_mut().zip(u1s) {
-                *counter += cauchy(unit(h1)) * delta;
+        let mut walk_a = self
+            .uniform_a
+            .hash_consecutive::<HASH_INDEPENDENCE>(first_key, rows);
+        let mut chunk_a = [0u64; ROW_CHUNK];
+        if is_cauchy(p) {
+            for counters in self.counters.chunks_mut(ROW_CHUNK) {
+                let hashes = &mut chunk_a[..counters.len()];
+                walk_a.fill(hashes);
+                for (counter, &h) in counters.iter_mut().zip(hashes.iter()) {
+                    *counter += cauchy(unit(h)) * delta;
+                }
             }
             return;
         }
-        let p = self.config.p;
-        let u2s = self.uniform_b.hash_consecutive(first_key, rows);
-        for ((counter, h1), h2) in self.counters.iter_mut().zip(u1s).zip(u2s) {
-            *counter += cms_pstable(p, unit(h1), unit(h2)) * delta;
+        let mut walk_b = self
+            .uniform_b
+            .hash_consecutive::<HASH_INDEPENDENCE>(first_key, rows);
+        let mut chunk_b = [0u64; ROW_CHUNK];
+        for counters in self.counters.chunks_mut(ROW_CHUNK) {
+            let hashes_a = &mut chunk_a[..counters.len()];
+            let hashes_b = &mut chunk_b[..counters.len()];
+            walk_a.fill(hashes_a);
+            walk_b.fill(hashes_b);
+            for ((counter, &h1), &h2) in counters
+                .iter_mut()
+                .zip(hashes_a.iter())
+                .zip(hashes_b.iter())
+            {
+                *counter += cms_pstable(p, unit(h1), unit(h2)) * delta;
+            }
         }
     }
 
@@ -317,6 +378,50 @@ mod tests {
                 let x = cms_pstable(p, rng.gen(), rng.gen());
                 assert!(x.is_finite(), "p={p} produced a non-finite variate");
             }
+        }
+    }
+
+    #[test]
+    fn cauchy_is_exact_at_the_center_and_within_an_ulp_at_the_quarters() {
+        assert_eq!(cauchy(0.5).to_bits(), 0.0f64.to_bits());
+        // tan(∓π/4) = ∓1; f64::EPSILON is one ULP of 1.0.
+        assert!(
+            (cauchy(0.25) + 1.0).abs() <= f64::EPSILON,
+            "{}",
+            cauchy(0.25)
+        );
+        assert!(
+            (cauchy(0.75) - 1.0).abs() <= f64::EPSILON,
+            "{}",
+            cauchy(0.75)
+        );
+    }
+
+    #[test]
+    fn cauchy_is_odd_and_monotone() {
+        // On a dyadic grid 1 − u is exact, so oddness holds bitwise (away
+        // from the center, where the kernel returns +0 for both).
+        for i in (1..1024u32).filter(|&i| i != 512) {
+            let u = f64::from(i) / 1024.0;
+            assert_eq!(cauchy(1.0 - u).to_bits(), (-cauchy(u)).to_bits(), "u={u}");
+        }
+        const POINTS: u32 = 100_000;
+        let mut previous = f64::NEG_INFINITY;
+        for i in 1..POINTS {
+            let value = cauchy(f64::from(i) / f64::from(POINTS));
+            assert!(value > previous, "not increasing at i={i}");
+            previous = value;
+        }
+    }
+
+    #[test]
+    fn cauchy_matches_the_libm_tangent_away_from_the_poles() {
+        let mut rng = StdRng::seed_from_u64(41);
+        for _ in 0..100_000 {
+            let u: f64 = rng.gen_range(0.05..0.95);
+            let libm = (std::f64::consts::PI * (u - 0.5)).tan();
+            let err = ((cauchy(u) - libm) / libm).abs();
+            assert!(err < 1e-13, "u={u}: relative difference {err}");
         }
     }
 
@@ -378,6 +483,29 @@ mod tests {
     }
 
     #[test]
+    fn cauchy_kernel_tracks_f1_across_seeds_and_streams() {
+        // The Cauchy kernel at tracking sizing stays within the F2 bound of
+        // `fast_ams_tracks_f2_across_seeds_and_streams` on skewed and flat
+        // streams.
+        let config = PStableConfig::for_tracking(1.0, 0.1, 1e-3);
+        for seed in 0..10u64 {
+            let streams = [
+                ZipfGenerator::new(2_000, 1.1, 100 + seed).take_updates(30_000),
+                UniformGenerator::new(5_000, 200 + seed).take_updates(30_000),
+            ];
+            for updates in &streams {
+                let truth: FrequencyVector = updates.iter().copied().collect();
+                let mut sketch = PStableSketch::new(config, 300 + seed);
+                for &u in updates {
+                    sketch.update(u);
+                }
+                let err = relative_error(sketch.estimate(), truth.fp(1.0));
+                assert!(err < 0.2, "seed {seed}: F1 relative error {err}");
+            }
+        }
+    }
+
+    #[test]
     fn fast_ams_cancels_deletions_and_keeps_its_space() {
         let config = PStableConfig::for_tracking(2.0, 0.1, 1e-3);
         let mut sketch = PStableSketch::new(config, 29);
@@ -406,14 +534,9 @@ mod tests {
                 inverse.wrapping_mul(2u64.wrapping_sub(ROW_KEY_MULTIPLIER.wrapping_mul(inverse)));
         }
         assert_eq!(ROW_KEY_MULTIPLIER.wrapping_mul(inverse), 1);
-        let rows = 257;
         // This item's first row key is u64::MAX − 5, so its row keys wrap
         // and the update takes the per-row fallback.
         let wrapping_item = (u64::MAX - 5).wrapping_mul(inverse);
-        assert!(wrapping_item
-            .wrapping_mul(ROW_KEY_MULTIPLIER)
-            .checked_add(rows as u64)
-            .is_none());
         let updates = [
             Update::new(0, 1),
             Update::new(17, 4),
@@ -422,18 +545,40 @@ mod tests {
             Update::new(u64::MAX, 1),
             Update::new(wrapping_item, -1),
         ];
-        for p in [0.5, 1.0, 1.5] {
-            let mut sketch = PStableSketch::new(PStableConfig { p, rows }, 31);
-            let mut reference = vec![0.0f64; rows];
-            for &u in &updates {
-                sketch.update(u);
-                for (row, counter) in reference.iter_mut().enumerate() {
-                    *counter += sketch.variate(row, u.item) * u.delta as f64;
+        // Row counts inside one chunk, one past two whole chunks, and
+        // crossing two chunk boundaries mid-chunk.
+        for rows in [77, 2 * ROW_CHUNK + 1, 300] {
+            assert!(wrapping_item
+                .wrapping_mul(ROW_KEY_MULTIPLIER)
+                .checked_add(rows as u64)
+                .is_none());
+            // 1 + 5·10⁻¹⁰ is within `is_cauchy`'s tolerance, so it must
+            // produce exactly the p = 1 counters.
+            let mut cauchy_counters = Vec::new();
+            for p in [0.5, 1.0, 1.0 + 5e-10, 1.5] {
+                let mut sketch = PStableSketch::new(PStableConfig { p, rows }, 31);
+                let mut reference = vec![0.0f64; rows];
+                for &u in &updates {
+                    sketch.update(u);
+                    for (row, counter) in reference.iter_mut().enumerate() {
+                        *counter += sketch.variate(row, u.item) * u.delta as f64;
+                    }
+                }
+                for (row, (&got, &want)) in sketch.counters.iter().zip(&reference).enumerate() {
+                    assert_eq!(got.to_bits(), want.to_bits(), "p={p} rows={rows} row {row}");
+                }
+                if is_cauchy(p) {
+                    cauchy_counters.push(sketch.counters);
                 }
             }
-            for (row, (&got, &want)) in sketch.counters.iter().zip(&reference).enumerate() {
-                assert_eq!(got.to_bits(), want.to_bits(), "p={p} row {row}");
-            }
+            assert_eq!(cauchy_counters.len(), 2);
+            assert!(
+                cauchy_counters[0]
+                    .iter()
+                    .zip(&cauchy_counters[1])
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "rows={rows}: p within 1e-9 of 1 left the Cauchy kernel"
+            );
         }
     }
 

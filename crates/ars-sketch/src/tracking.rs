@@ -105,7 +105,7 @@ impl<E: Estimator> Estimator for MedianTracking<E> {
 
     fn estimate(&self) -> f64 {
         let mut estimates: Vec<f64> = self.copies.iter().map(Estimator::estimate).collect();
-        estimates.sort_by(|a, b| a.partial_cmp(b).expect("finite estimates"));
+        estimates.sort_by(f64::total_cmp);
         let mid = estimates.len() / 2;
         if estimates.len() % 2 == 1 {
             estimates[mid]
@@ -196,6 +196,38 @@ mod tests {
             }
         }
         assert!(worst < 0.15, "worst-case tracking error {worst}");
+    }
+
+    /// A copy whose estimate is a fixed value.
+    struct Fixed(f64);
+
+    impl Estimator for Fixed {
+        fn update(&mut self, _update: Update) {}
+
+        fn estimate(&self) -> f64 {
+            self.0
+        }
+
+        fn space_bytes(&self) -> usize {
+            8
+        }
+    }
+
+    #[test]
+    fn non_finite_copy_estimates_still_yield_a_reading() {
+        // Positive NaN orders after ∞, so one broken copy at each end
+        // leaves the median of the finite copies.
+        let ensemble = MedianTracking::from_copies(vec![
+            Fixed(f64::NAN),
+            Fixed(3.0),
+            Fixed(f64::INFINITY),
+            Fixed(1.0),
+            Fixed(2.0),
+        ]);
+        assert_eq!(ensemble.estimate(), 3.0);
+        let even =
+            MedianTracking::from_copies(vec![Fixed(f64::NAN), Fixed(1.0), Fixed(2.0), Fixed(4.0)]);
+        assert_eq!(even.estimate(), 3.0);
     }
 
     #[test]
