@@ -55,7 +55,7 @@
 use ars_sketch::{Estimator, EstimatorFactory};
 use ars_stream::Update;
 
-use crate::engine::{derive_seed, DynRobust, RobustPlan, Robustify, StrategyCore};
+use crate::engine::{derive_seed, ingest_pool, DynRobust, RobustPlan, Robustify, StrategyCore};
 use crate::strategy::RobustStrategy;
 
 /// The geometric chunk schedule: one flip budget per chunk, one sketch
@@ -217,15 +217,10 @@ where
         }
     }
 
-    /// Copy-major batch ingestion: each copy streams the whole batch while
-    /// its state is cache-resident, exactly like the switching and DP
-    /// pools.
+    /// Copy-major batch ingestion through `ingest_pool`, exactly like the
+    /// switching and DP pools.
     fn ingest_batch(&mut self, updates: &[Update]) {
-        for copy in &mut self.copies {
-            for &u in updates {
-                copy.update(u);
-            }
-        }
+        ingest_pool(&mut self.copies, updates);
     }
 
     /// The telescoped estimate: frozen anchor plus the open chunk's live

@@ -41,7 +41,7 @@ use ars_sketch::{Estimator, EstimatorFactory};
 use ars_stream::Update;
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::engine::{derive_seed, DynRobust, RobustPlan, Robustify, StrategyCore};
+use crate::engine::{derive_seed, ingest_pool, DynRobust, RobustPlan, Robustify, StrategyCore};
 use crate::rounding::within_window;
 use crate::strategy::RobustStrategy;
 
@@ -254,14 +254,10 @@ where
         self.maybe_republish();
     }
 
-    /// Copy-major batch ingestion (each copy streams the whole batch while
-    /// cache-resident), then a single drift check for the whole batch.
+    /// Copy-major batch ingestion through `ingest_pool`, then a single
+    /// drift check for the whole batch.
     fn ingest_batch(&mut self, updates: &[Update]) {
-        for copy in &mut self.copies {
-            for &u in updates {
-                copy.update(u);
-            }
-        }
+        ingest_pool(&mut self.copies, updates);
         self.pending += updates.len();
         self.maybe_republish();
     }

@@ -29,6 +29,12 @@
 //! ([`crate::difference_estimators`]) both arrived exactly this way; see
 //! `docs/ARCHITECTURE.md` for the worked recipe.
 
+use std::num::NonZeroUsize;
+use std::panic;
+use std::sync::{Mutex, OnceLock, PoisonError};
+use std::thread;
+use std::time::{Duration, Instant};
+
 use ars_sketch::Estimator;
 use ars_stream::Update;
 
@@ -46,6 +52,92 @@ pub(crate) fn derive_seed(seed: u64, index: u64) -> u64 {
         .wrapping_add(index)
         .rotate_left(17)
         .wrapping_mul(0xBF58_476D_1CE4_E5B9)
+}
+
+/// Pool work a batch must have, measured as (copies left × the first
+/// copy's time on the batch), before its remaining copies are split across
+/// threads. A worker costs a thread start and the wake-up of a core that
+/// may be busy, whatever the batch, so only work well above that cost is
+/// worth splitting. The gate also has to sit far from any common batch:
+/// it reads a wall clock, and a batch whose work is near the gate splits in
+/// one run and not in the next. On a 2-core host a 64-update F0 batch or a
+/// 256-update fp2 pool batch is ~1–3 ms of work and a 256-update fp1 batch
+/// ~80–140 ms, so 20 ms leaves a wide margin on both sides.
+const SPLIT_MIN_WORK: Duration = Duration::from_millis(20);
+
+/// The cores this process may use (`taskset` and cgroup quotas included),
+/// read once.
+fn available_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Feeds a whole batch to every copy of a pool, copy-major: each copy
+/// streams the batch in order before the next copy is touched, so its
+/// state stays cache-resident across the batch. The one place that decides
+/// ingest order and threading for every pool strategy.
+///
+/// The caller's thread ingests copy 0 and times it. When more than one core
+/// is available and the rest of the pool would take at least
+/// [`SPLIT_MIN_WORK`] at that pace, the remaining copies are split across
+/// the cores by [`ingest_split`]; otherwise they run here, one by one. Each
+/// copy sees the same updates in the same order either way, and no copy
+/// reads another's state, so the pool ends bitwise identical.
+pub(crate) fn ingest_pool<E: Estimator + Send>(copies: &mut [E], updates: &[Update]) {
+    let Some((first, rest)) = copies.split_first_mut() else {
+        return;
+    };
+    let start = Instant::now();
+    ingest_copies(std::slice::from_mut(first), updates);
+    let threads = available_threads();
+    let rest_work = start
+        .elapsed()
+        .saturating_mul(u32::try_from(rest.len()).unwrap_or(u32::MAX));
+    if threads > 1 && rest_work >= SPLIT_MIN_WORK {
+        ingest_split(rest, updates, threads);
+    } else {
+        ingest_copies(rest, updates);
+    }
+}
+
+/// Ingests the batch into `copies` on up to `threads` threads, the
+/// caller's included: each thread takes the next untouched copy and streams
+/// the whole batch into it until none is left. Copies are handed out one
+/// at a time, not in fixed chunks, so a thread that shares its core with
+/// other work takes fewer of them and the batch does not wait on it. A
+/// worker's panic reaches the caller with its original payload.
+pub(crate) fn ingest_split<E: Estimator + Send>(
+    copies: &mut [E],
+    updates: &[Update],
+    threads: usize,
+) {
+    let workers = threads.min(copies.len()).saturating_sub(1);
+    let next = Mutex::new(copies.iter_mut());
+    let drain = || loop {
+        let Some(copy) = next.lock().unwrap_or_else(PoisonError::into_inner).next() else {
+            return;
+        };
+        for &u in updates {
+            copy.update(u);
+        }
+    };
+    thread::scope(|scope| {
+        let workers: Vec<_> = (0..workers).map(|_| scope.spawn(drain)).collect();
+        drain();
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                panic::resume_unwind(payload);
+            }
+        }
+    });
+}
+
+fn ingest_copies<E: Estimator>(copies: &mut [E], updates: &[Update]) {
+    for copy in copies {
+        for &u in updates {
+            copy.update(u);
+        }
+    }
 }
 
 /// The engine's publication accounting, as captured for (and restored
@@ -99,9 +191,9 @@ pub trait StrategyCore: Send {
 
     /// Feeds a whole batch of updates, with no publication in between.
     /// The default loops over [`StrategyCore::ingest`]; pool strategies
-    /// override it to iterate copy-major (every copy streams the whole
-    /// batch before the next copy is touched), which keeps each copy's
-    /// state cache-resident across the batch.
+    /// override it with `ingest_pool`, which iterates copy-major (every
+    /// copy streams the whole batch before the next copy is touched) and
+    /// splits a heavy pool across cores.
     fn ingest_batch(&mut self, updates: &[Update]) {
         for &u in updates {
             self.ingest(u);
@@ -439,6 +531,11 @@ impl<C: StrategyCore> RobustEstimator for Robustify<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ars_sketch::kmv::{KmvConfig, KmvFactory};
+    use ars_sketch::pstable::{PStableConfig, PStableFactory};
+    use ars_sketch::tracking::{MedianTrackingConfig, MedianTrackingFactory};
+    use ars_sketch::EstimatorFactory;
+    use ars_stream::generator::{Generator, UniformGenerator, ZipfGenerator};
 
     /// A deterministic core tracking the number of ingested updates, used
     /// to pin down the engine's publication/accounting contract without
@@ -651,5 +748,182 @@ mod tests {
         let mut bad = plan(0.5);
         bad.rounding_epsilon = 0.0;
         let _ = Robustify::new(CountingCore::windowed(), bad);
+    }
+
+    /// Builds a pool of `copies` independently seeded copies.
+    fn pool<F: EstimatorFactory>(factory: &F, copies: u64) -> Vec<F::Output> {
+        (0..copies)
+            .map(|i| factory.build(derive_seed(7, i)))
+            .collect()
+    }
+
+    /// Splitting a pool across 1, 2, 3 and more threads than copies leaves
+    /// every copy bitwise equal to a copy fed update by update.
+    fn assert_split_matches_update_major<F>(factory: &F, copies: u64, updates: &[Update])
+    where
+        F: EstimatorFactory,
+        F::Output: Send + std::fmt::Debug,
+    {
+        let mut reference = pool(factory, copies);
+        for &u in updates {
+            for copy in &mut reference {
+                copy.update(u);
+            }
+        }
+        let (head, tail) = updates.split_at(updates.len() / 3);
+        for threads in [1, 2, 3, copies as usize + 1] {
+            let mut split = pool(factory, copies);
+            ingest_split(&mut split, head, threads);
+            ingest_split(&mut split, tail, threads);
+            let mut gated = pool(factory, copies);
+            ingest_pool(&mut gated, head);
+            ingest_pool(&mut gated, tail);
+            for got in [&split, &gated] {
+                for (i, (want, got)) in reference.iter().zip(got).enumerate() {
+                    assert_eq!(
+                        want.estimate().to_bits(),
+                        got.estimate().to_bits(),
+                        "copy {i}, {threads} threads"
+                    );
+                    assert_eq!(
+                        format!("{want:?}"),
+                        format!("{got:?}"),
+                        "copy {i}, {threads} threads"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_ingest_is_bitwise_equal_for_pstable_copies() {
+        let factory = PStableFactory {
+            config: PStableConfig::for_accuracy(1.0, 0.3),
+        };
+        let mut updates = ZipfGenerator::new(2_000, 1.1, 3).take_updates(600);
+        // Turnstile: the p = 1 counters take deletions too.
+        updates.extend((0..100u64).map(Update::delete));
+        assert_split_matches_update_major(&factory, 7, &updates);
+    }
+
+    #[test]
+    fn split_ingest_is_bitwise_equal_for_kmv_ensemble_copies() {
+        let factory = MedianTrackingFactory {
+            inner: KmvFactory {
+                config: KmvConfig::for_accuracy(0.2),
+            },
+            config: MedianTrackingConfig { copies: 3 },
+        };
+        let updates = UniformGenerator::new(5_000, 4).take_updates(3_000);
+        assert_split_matches_update_major(&factory, 5, &updates);
+    }
+
+    /// A copy that counts its updates, records the thread that fed it last,
+    /// can take a fixed time per update and can panic on its Nth update
+    /// when a thread other than `home` feeds it.
+    #[derive(Debug, Default)]
+    struct Probe {
+        seen: u64,
+        panic_at: Option<u64>,
+        home: Option<thread::ThreadId>,
+        work: Duration,
+        thread: Option<thread::ThreadId>,
+    }
+
+    impl Estimator for Probe {
+        fn update(&mut self, _update: Update) {
+            self.seen += 1;
+            let current = thread::current().id();
+            self.thread = Some(current);
+            if Some(self.seen) == self.panic_at && Some(current) != self.home {
+                panic!("probe copy failed on update {}", self.seen);
+            }
+            thread::sleep(self.work);
+        }
+
+        fn estimate(&self) -> f64 {
+            self.seen as f64
+        }
+
+        fn space_bytes(&self) -> usize {
+            8
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller_with_its_payload() {
+        // Every copy panics on its fifth update, but only on a worker. The
+        // caller spends 16 ms on each copy it takes, so the worker takes one
+        // long before the caller could drain all eight.
+        let caller = thread::current().id();
+        let mut copies: Vec<Probe> = (0..8)
+            .map(|_| Probe {
+                panic_at: Some(5),
+                home: Some(caller),
+                work: Duration::from_millis(2),
+                ..Probe::default()
+            })
+            .collect();
+        let updates: Vec<Update> = (0..8u64).map(Update::insert).collect();
+        let caught = panic::catch_unwind(panic::AssertUnwindSafe(|| {
+            ingest_split(&mut copies, &updates, 2);
+        }))
+        .expect_err("the worker's panic must reach the caller");
+        let message = caught
+            .downcast_ref::<String>()
+            .expect("the original String payload, not a scope's own panic");
+        assert_eq!(message, "probe copy failed on update 5");
+        let (failed, finished): (Vec<&Probe>, Vec<&Probe>) =
+            copies.iter().partition(|copy| copy.seen < 8);
+        assert_eq!(failed.len(), 1, "the worker stops at its first copy");
+        assert_eq!(failed[0].seen, 5);
+        assert_ne!(failed[0].thread, Some(caller));
+        assert!(
+            finished.iter().all(|copy| copy.thread == Some(caller)),
+            "the caller drains every other copy"
+        );
+    }
+
+    #[test]
+    fn light_batches_stay_on_the_caller_and_heavy_ones_split_when_cores_allow() {
+        let caller = thread::current().id();
+        let updates: Vec<Update> = (0..3u64).map(Update::insert).collect();
+
+        // ~0.3 ms on copy 0, so the other seven copies are worth ~2 ms:
+        // enough for a worker to take some if the pool split at all.
+        let mut light: Vec<Probe> = (0..8)
+            .map(|_| Probe {
+                work: Duration::from_micros(100),
+                ..Probe::default()
+            })
+            .collect();
+        ingest_pool(&mut light, &updates);
+        assert!(light
+            .iter()
+            .all(|copy| copy.seen == 3 && copy.thread == Some(caller)));
+
+        // 9 ms on copy 0, so the other seven copies are worth 63 ms.
+        let mut heavy: Vec<Probe> = (0..8)
+            .map(|_| Probe {
+                work: Duration::from_millis(3),
+                ..Probe::default()
+            })
+            .collect();
+        ingest_pool(&mut heavy, &updates);
+        assert!(heavy.iter().all(|copy| copy.seen == 3));
+        assert_eq!(
+            heavy[0].thread,
+            Some(caller),
+            "copy 0 is timed on the caller"
+        );
+        let elsewhere = heavy
+            .iter()
+            .filter(|copy| copy.thread != Some(caller))
+            .count();
+        if available_threads() > 1 {
+            assert!(elsewhere > 0, "a worker takes some of the rest");
+        } else {
+            assert_eq!(elsewhere, 0, "one core: the pool stays serial");
+        }
     }
 }

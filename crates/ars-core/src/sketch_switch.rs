@@ -31,7 +31,7 @@
 use ars_sketch::{Estimator, EstimatorFactory};
 use ars_stream::Update;
 
-use crate::engine::{derive_seed, StrategyCore};
+use crate::engine::{derive_seed, ingest_pool, StrategyCore};
 
 /// Which pool-management strategy the wrapper uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -187,17 +187,11 @@ where
         }
     }
 
-    /// Copy-major batch ingestion: each copy streams the whole batch
-    /// before the next copy is touched. The copies are independent, so the
-    /// final pool state is identical to update-major order, but each
-    /// copy's counters stay cache-resident across the batch instead of the
-    /// whole pool being re-fetched per update.
+    /// Copy-major batch ingestion through `ingest_pool`. The copies are
+    /// independent, so the final pool state is identical to update-major
+    /// order.
     fn ingest_batch(&mut self, updates: &[Update]) {
-        for copy in &mut self.copies {
-            for &u in updates {
-                copy.update(u);
-            }
-        }
+        ingest_pool(&mut self.copies, updates);
     }
 
     /// Consults only the active copy.

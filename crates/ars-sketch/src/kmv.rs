@@ -14,8 +14,13 @@
 //! required by the cryptographic transformation of Section 10: an item
 //! whose hash is already present in the bottom-k set leaves the state
 //! unchanged.
-
-use std::collections::BTreeSet;
+//!
+//! The retained minima live in one sorted `Vec<u64>` that reserves exactly
+//! `k` slots on the first insertion, so a sketch allocates once in its
+//! lifetime and an update never touches the allocator. Once the set is
+//! full, a hash at or above the current maximum — nearly every update on a
+//! long stream — is rejected by one comparison; anything smaller is placed
+//! by binary search, evicting the maximum.
 
 use ars_hash::KWiseHash;
 use ars_stream::Update;
@@ -48,9 +53,10 @@ impl KmvConfig {
 pub struct KmvSketch {
     config: KmvConfig,
     hash: KWiseHash,
-    /// The k smallest distinct hash values seen so far (normalized to
-    /// integers for exact ordering; converted to unit floats on estimate).
-    bottom: BTreeSet<u64>,
+    /// The k smallest distinct hash values seen so far, sorted ascending
+    /// (normalized to integers for exact ordering; converted to unit floats
+    /// on estimate). Never longer than `k`.
+    bottom: Vec<u64>,
 }
 
 impl KmvSketch {
@@ -62,7 +68,7 @@ impl KmvSketch {
         Self {
             config,
             hash: KWiseHash::from_rng(2, &mut rng),
-            bottom: BTreeSet::new(),
+            bottom: Vec::new(),
         }
     }
 
@@ -79,14 +85,12 @@ impl KmvSketch {
     #[must_use]
     pub fn would_ignore(&self, item: u64) -> bool {
         let h = self.hash.hash(item);
-        if self.bottom.contains(&h) {
-            return true;
-        }
-        if self.bottom.len() < self.config.k {
-            return false;
-        }
-        let largest = *self.bottom.iter().next_back().expect("non-empty");
-        h >= largest
+        (self.is_full() && self.bottom.last().is_some_and(|&largest| h >= largest))
+            || self.bottom.binary_search(&h).is_ok()
+    }
+
+    fn is_full(&self) -> bool {
+        self.bottom.len() >= self.config.k
     }
 }
 
@@ -98,28 +102,31 @@ impl Estimator for KmvSketch {
             return;
         }
         let h = self.hash.hash(update.item);
-        if self.bottom.contains(&h) {
+        let full = self.is_full();
+        if full && self.bottom.last().is_some_and(|&largest| h >= largest) {
             return;
         }
-        if self.bottom.len() < self.config.k {
-            self.bottom.insert(h);
+        let Err(at) = self.bottom.binary_search(&h) else {
             return;
+        };
+        if full {
+            self.bottom.pop();
+        } else if self.bottom.len() == self.bottom.capacity() {
+            // The first insertion (or the first after a clone, which keeps
+            // only the length): one allocation that lasts the sketch's life.
+            self.bottom.reserve_exact(self.config.k - self.bottom.len());
         }
-        let largest = *self.bottom.iter().next_back().expect("non-empty");
-        if h < largest {
-            self.bottom.insert(h);
-            self.bottom.remove(&largest);
-        }
+        self.bottom.insert(at, h);
     }
 
     fn estimate(&self) -> f64 {
-        if self.bottom.len() < self.config.k {
+        if !self.is_full() {
             // Fewer than k distinct hashes seen: the sketch stores them all,
             // so the count is exact (collisions are negligible in a 61-bit
             // range at these cardinalities).
             return self.bottom.len() as f64;
         }
-        let v_k = *self.bottom.iter().next_back().expect("non-empty") as f64
+        let v_k = *self.bottom.last().expect("a full set is non-empty") as f64
             / ars_hash::field::MERSENNE_P as f64;
         (self.config.k as f64 - 1.0) / v_k
     }
@@ -154,6 +161,7 @@ mod tests {
     use super::*;
     use ars_stream::generator::{Generator, UniformGenerator};
     use ars_stream::FrequencyVector;
+    use std::collections::BTreeSet;
 
     #[test]
     fn exact_below_k_distinct_items() {
@@ -223,6 +231,52 @@ mod tests {
         let small = KmvSketch::new(KmvConfig { k: 16 }, 0);
         let large = KmvSketch::new(KmvConfig { k: 1024 }, 0);
         assert!(large.space_bytes() > small.space_bytes());
+    }
+
+    /// A reference bottom-k set: a `BTreeSet` under the same
+    /// insert-then-evict rule. Returns whether the set changed.
+    fn reference_update(reference: &mut BTreeSet<u64>, k: usize, h: u64) -> bool {
+        if reference.contains(&h) {
+            return false;
+        }
+        if reference.len() < k {
+            return reference.insert(h);
+        }
+        let largest = *reference.iter().next_back().expect("non-empty");
+        h < largest && reference.insert(h) && reference.remove(&largest)
+    }
+
+    #[test]
+    fn sorted_vec_matches_a_btreeset_reference_after_every_update() {
+        for (seed, k, domain) in [(1u64, 8usize, 40u64), (2, 64, 200), (3, 300, 5_000)] {
+            let mut sketch = KmvSketch::new(KmvConfig { k }, seed);
+            let mut reference = BTreeSet::new();
+            let mut buffer = None;
+            // Items repeat (the domain is small next to the stream), and the
+            // stream crosses the not-full -> full boundary early on.
+            for u in UniformGenerator::new(domain, seed).take_updates(20 * domain as usize) {
+                let ignored = sketch.would_ignore(u.item);
+                sketch.update(u);
+                let changed = reference_update(&mut reference, k, sketch.hash.hash(u.item));
+                assert!(sketch.bottom.iter().eq(reference.iter()), "seed {seed}");
+                assert_eq!(ignored, !changed, "would_ignore disagrees, seed {seed}");
+                let expected = if reference.len() < k {
+                    reference.len() as f64
+                } else {
+                    (k as f64 - 1.0)
+                        / (*reference.iter().next_back().expect("full") as f64
+                            / ars_hash::field::MERSENNE_P as f64)
+                };
+                assert_eq!(sketch.estimate().to_bits(), expected.to_bits());
+                // One allocation for the sketch's lifetime: the buffer never
+                // moves after the first insertion.
+                if !sketch.bottom.is_empty() {
+                    let at = sketch.bottom.as_ptr();
+                    assert_eq!(*buffer.get_or_insert(at), at, "the set reallocated");
+                }
+            }
+            assert_eq!(sketch.bottom.len(), k, "the stream must fill the set");
+        }
     }
 
     #[test]
